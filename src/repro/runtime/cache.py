@@ -3,7 +3,13 @@
 Keys are ``(code version, experiment name, config hash, sweep point)`` --
 exactly the inputs that determine a simulated result -- so re-rendering a
 figure after an unrelated edit is free while a config or parameter change
-misses cleanly.  Storage lives behind the
+misses cleanly.  The config hash is the fingerprint of the point's
+*effective* config, after ``Experiment.configure()``:
+``Experiment.resolve_point`` computes it both for the record a run puts
+and for the key a lookup probes.  Fingerprints are memoised per frozen
+config section (:func:`~repro.runtime.record.config_fingerprint`), so a
+probe pays for the sections a point replaced, not the whole config
+tree.  Storage lives behind the
 :class:`~repro.service.backends.CacheBackend` protocol: the default
 :class:`~repro.service.backends.LocalDirBackend` stores records as
 canonical JSON, one file per key, fanned into 256 two-hex-digit shards,

@@ -16,7 +16,7 @@ context dict threaded through the hooks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster import Cluster
 from repro.config import SystemConfig, default_config
@@ -119,6 +119,21 @@ class Experiment:
         merged.update(params or {})
         return merged
 
+    def resolve_point(self, params: Optional[Dict[str, Any]],
+                      config: Optional[SystemConfig] = None
+                      ) -> Tuple[Dict[str, Any], SystemConfig, str]:
+        """``(params, config, config_fp)`` of one sweep point: the merged
+        params, the effective config after :meth:`configure`, and that
+        config's fingerprint.
+
+        This is the point's identity.  :meth:`execute` stamps it on the
+        record (and so on the cache key :meth:`RunRecord.cache_key` puts
+        under), and the service's cache probe looks up the same key.
+        """
+        p = self.resolve_params(params)
+        cfg = self.configure(p, config or default_config())
+        return p, cfg, config_fingerprint(cfg)
+
     def execute(self, params: Optional[Dict[str, Any]] = None,
                 config: Optional[SystemConfig] = None,
                 trace: Optional[bool] = None, *,
@@ -142,11 +157,11 @@ class Experiment:
         exact pre-checkpoint code path.
         """
         obs = Observers.coerce(observers)
-        p = self.resolve_params(params)
-        cfg = self.configure(p, config or default_config())
+        p, cfg, cfg_fp = self.resolve_point(params, config)
         do_trace = self.trace_default(p) if trace is None else trace
         if checkpoint is not None:
-            return self._execute_checkpointed(p, cfg, do_trace, obs, checkpoint)
+            return self._execute_checkpointed(p, cfg, cfg_fp, do_trace, obs,
+                                              checkpoint)
         cluster = self.build_cluster(p, cfg, do_trace)
         registry = obs.arm(cluster) if obs is not None else None
         ctx = self.setup(cluster, p)
@@ -159,7 +174,7 @@ class Experiment:
         record = RunRecord(
             experiment=self.name,
             params=p,
-            config_fingerprint=config_fingerprint(cfg),
+            config_fingerprint=cfg_fp,
             metrics=metrics_out,
             hazards=cluster.total_hazards(),
             spans=_span_rows(cluster.tracer) if do_trace else (),
@@ -169,8 +184,8 @@ class Experiment:
         return Execution(record=record, raw=raw, cluster=cluster)
 
     def _execute_checkpointed(self, p: Dict[str, Any], cfg: SystemConfig,
-                              do_trace: bool, obs: Optional[Any],
-                              ck: Any) -> Execution:
+                              cfg_fp: str, do_trace: bool,
+                              obs: Optional[Any], ck: Any) -> Execution:
         """The checkpoint-armed run loop.
 
         Drives the simulation in grid-aligned chunks of ``ck.interval_ns``
@@ -188,7 +203,6 @@ class Experiment:
             raise ckpt.CheckpointError(
                 f"experiment {self.name!r} overrides drive(); periodic "
                 "checkpointing requires the default drain-the-heap drive")
-        cfg_fp = config_fingerprint(cfg)
         own_fp = ckpt.point_fingerprint(self.name, p, cfg_fp)
         prefix_fp: Optional[str] = None
         divergence_ns: Optional[int] = None

@@ -10,6 +10,7 @@ and (b) serial and parallel sweeps can be compared byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -46,20 +47,72 @@ def json_safe(value: Any) -> Any:
                     "JSON-safe; experiments must emit scalar metrics")
 
 
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, with the
+#: encoder built once instead of per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def config_fingerprint(config: Any) -> str:
     """Stable digest of a :class:`~repro.config.SystemConfig` (or any
-    dataclass tree of scalars)."""
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        payload = dataclasses.asdict(config)
-    else:
-        payload = config
-    digest = hashlib.sha256(canonical_json(json_safe(payload)).encode())
+    dataclass tree of scalars).
+
+    The digest is ``sha256(canonical_json(json_safe(asdict(config))))``,
+    but the JSON is assembled from per-instance fragments memoised on
+    every frozen dataclass in the tree.  ``SystemConfig.with_()`` and
+    ``dataclasses.replace`` keep the unchanged sections' instances, so a
+    per-point ``configure()`` re-serialises only the section it replaced.
+    The memo is keyed by identity, never by equality: ``1``, ``1.0`` and
+    ``True`` compare equal but serialise differently.
+    """
+    digest = hashlib.sha256(_fragment(config)[0].encode())
     return digest.hexdigest()[:16]
+
+
+#: Instance attribute holding a frozen dataclass's canonical JSON.  It
+#: travels with pickles and copies, which stay valid: the fields they
+#: carry are the ones the fragment was built from.
+_FRAGMENT_ATTR = "_repro_json_fragment"
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_fields(cls: type) -> Tuple[Tuple[str, str], ...]:
+    """``(name, '"name":')`` per field of dataclass ``cls``, key-sorted."""
+    return tuple((name, json.dumps(name) + ":")
+                 for name in sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _fragment(value: Any) -> Tuple[str, bool]:
+    """``(canonical_json(json_safe(asdict-form of value)), immutable)``.
+
+    ``immutable`` is true when nothing below ``value`` can change in
+    place (only scalars, tuples and frozen dataclasses): only then may
+    an enclosing frozen dataclass memoise its fragment.
+    """
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        state = getattr(value, "__dict__", None)
+        memo = state.get(_FRAGMENT_ATTR) if state is not None else None
+        if memo is not None:
+            return memo, True
+        immutable = type(value).__dataclass_params__.frozen
+        parts = []
+        for name, key in _sorted_fields(type(value)):
+            text, fixed = _fragment(getattr(value, name))
+            parts.append(key + text)
+            immutable = immutable and fixed
+        text = "{" + ",".join(parts) + "}"
+        if immutable and state is not None:
+            object.__setattr__(value, _FRAGMENT_ATTR, text)
+        return text, immutable
+    if isinstance(value, (list, tuple)):
+        items = [_fragment(v) for v in value]
+        return ("[" + ",".join(t for t, _ in items) + "]",
+                isinstance(value, tuple) and all(fixed for _, fixed in items))
+    return canonical_json(json_safe(value)), isinstance(value, _SCALARS)
 
 
 @dataclass

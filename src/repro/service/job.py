@@ -129,6 +129,8 @@ class Job:
             runner=SweepRunner.name,
             experiment=sweep.experiment.name,
             points=tuple(sweep.sweep_points()),
+            # The *base* config: it names the job.  Cache keys use each
+            # point's effective config (Experiment.resolve_point).
             config_fingerprint=config_fingerprint(config),
             cache_root=(str(cache.root) if cache is not None
                         and cache.root is not None else None),
@@ -143,8 +145,7 @@ class Job:
                 directory=str(store.checkpoint_dir(spec.job_id())),
                 interval_ns=checkpoint)
         state = SweepState(experiment=sweep.experiment, config=config,
-                           config_fp=spec.config_fingerprint, cache=cache,
-                           checkpoint=checkpoint)
+                           cache=cache, checkpoint=checkpoint)
         return cls(spec, store=store, state=state, priority=priority)
 
     @classmethod

@@ -34,7 +34,7 @@ from repro.checkpoint import CheckpointConfig, CheckpointError
 from repro.config import SystemConfig
 from repro.runtime.cache import ResultCache
 from repro.runtime.experiment import Experiment
-from repro.runtime.record import RunRecord, config_fingerprint
+from repro.runtime.record import RunRecord
 
 __all__ = ["BenchRunner", "SweepRunner", "get_runner", "register_runner"]
 
@@ -46,7 +46,6 @@ class SweepState:
 
     experiment: Experiment
     config: SystemConfig
-    config_fp: str
     cache: Optional[ResultCache]
     #: Periodic-checkpoint policy for every point, or ``None`` (off).
     checkpoint: Optional[CheckpointConfig] = None
@@ -75,19 +74,23 @@ class SweepRunner:
         # Payloads journaled before checkpointing existed are 3-tuples.
         checkpoint = doc[3] if len(doc) > 3 else None
         cache = ResultCache(cache_root) if cache_root is not None else None
-        return SweepState(experiment=experiment, config=config,
-                          config_fp=config_fingerprint(config), cache=cache,
+        return SweepState(experiment=experiment, config=config, cache=cache,
                           checkpoint=checkpoint)
 
     @staticmethod
     def lookup(state: SweepState, point: Dict[str, Any]) -> Optional[RunRecord]:
         """Parent-side cache probe (counts hits/misses on the caller's
-        cache object, exactly like the pre-service ``Sweep.run``)."""
+        cache object, exactly like the pre-service ``Sweep.run``).
+
+        Keys on the point's *effective* config fingerprint -- the one
+        :meth:`Experiment.execute` stamps on the record it puts -- so an
+        experiment whose ``configure()`` rewrites the config still hits.
+        """
         if state.cache is None:
             return None
-        return state.cache.get(state.experiment.name,
-                               state.experiment.resolve_params(point),
-                               state.config_fp)
+        params, _, config_fp = state.experiment.resolve_point(point,
+                                                               state.config)
+        return state.cache.get(state.experiment.name, params, config_fp)
 
     @staticmethod
     def run(state: SweepState, index: int,
