@@ -258,8 +258,7 @@ def _print_campaign_report(kind: str, report, json_path=None) -> int:
     return 0 if report.ok else 1
 
 
-def _campaign_main(kind: str, argv, store=None, echo: bool = False,
-                   checkpoint=None) -> int:
+def _campaign_main(kind: str, argv, store=None, echo: bool = False) -> int:
     workloads, runner, seeds_default, description = _campaign_kind(kind)
     parser = argparse.ArgumentParser(prog=f"python -m repro {kind}",
                                      description=description)
@@ -287,7 +286,7 @@ def _campaign_main(kind: str, argv, store=None, echo: bool = False,
                         seed_start=args.seed_start, jobs=args.jobs,
                         fail_fast=args.fail_fast, cache=cache, store=store,
                         progress=_campaign_progress if echo else None,
-                        checkpoint=checkpoint, listen=args.listen,
+                        listen=args.listen,
                         priority=args.priority, window=args.window)
     except JobPreempted as preempt:
         print(f"\npreempted at {preempt.done}/{preempt.total} cases; resume "
@@ -344,14 +343,6 @@ def _jobs_main(argv) -> int:
         parser.add_argument("--store", metavar="DIR", default=None,
                             help="job store root (default: .repro-jobs, or "
                                  "$REPRO_JOBS_DIR)")
-        parser.add_argument("--checkpoint-interval-ns", type=int, default=None,
-                            metavar="NS",
-                            help="snapshot every point's simulator state "
-                                 "every NS sim-ns into the job's checkpoint "
-                                 "directory; a killed worker resumes its "
-                                 "in-flight point from the latest snapshot "
-                                 "instead of t=0 (records stay byte-"
-                                 "identical)")
         parser.add_argument("--max-active", type=int, default=None,
                             metavar="N",
                             help="backpressure: reject this submission (exit "
@@ -363,22 +354,15 @@ def _jobs_main(argv) -> int:
                                  "75) if a new job was submitted to the "
                                  "store less than SECONDS ago")
         args, campaign_argv = parser.parse_known_args(rest)
-        if (args.checkpoint_interval_ns is not None
-                and args.checkpoint_interval_ns <= 0):
-            parser.error("--checkpoint-interval-ns must be positive")
-        checkpoint = args.checkpoint_interval_ns
         store = JobStore(args.store, max_active=args.max_active,
                          min_interval_s=args.min_submit_interval)
         try:
             if args.kind == "topo":
-                return _topo_main(campaign_argv, store=store,
-                                  echo=True, checkpoint=checkpoint)
+                return _topo_main(campaign_argv, store=store, echo=True)
             if args.kind == "congestion":
-                return _congestion_main(campaign_argv, store=store,
-                                        echo=True, checkpoint=checkpoint)
+                return _congestion_main(campaign_argv, store=store, echo=True)
             return _campaign_main(args.kind, campaign_argv,
-                                  store=store, echo=True,
-                                  checkpoint=checkpoint)
+                                  store=store, echo=True)
         except SubmitThrottled as throttled:
             print(f"submission rejected: {throttled}", file=sys.stderr)
             return 75  # EX_TEMPFAIL: retry later
@@ -411,16 +395,13 @@ def _jobs_main(argv) -> int:
                 breakdown = ", ".join(
                     f"{sources[k]} {label}"
                     for k, label in (("run", "recomputed"),
-                                     ("restored", "restored"),
                                      ("cache", "cached"),
                                      ("journal", "journaled"))
                     if sources.get(k))
-                ckpts = row.get("checkpoints", 0)
                 print(f"{row['job_id']}  {row['status']:<10} "
                       f"{row.get('journaled', 0)}/{row['total']} journaled  "
                       f"{row['experiment']}"
-                      + (f"  [{breakdown}]" if breakdown else "")
-                      + (f"  {ckpts} checkpoint(s) on disk" if ckpts else ""))
+                      + (f"  [{breakdown}]" if breakdown else ""))
         return 0
 
     # resume
@@ -459,7 +440,7 @@ def _jobs_main(argv) -> int:
     done = [r for r in records if r is not None]
     print(f"\njob {job.id} {job.status()['status']}: "
           f"{job.stats['journal']} journaled, {job.stats['cache']} cached, "
-          f"{job.stats['restored']} restored, {job.stats['run']} ran")
+          f"{job.stats['run']} ran")
     kind = job.spec.experiment
     if kind in ("validate", "faults"):
         if kind == "validate":
@@ -518,8 +499,7 @@ def _topo_progress(event) -> None:
           f"{event.record.metrics['total_ns']}ns {marker}{src}", flush=True)
 
 
-def _topo_main(argv, store=None, echo: bool = False,
-               checkpoint=None) -> int:
+def _topo_main(argv, store=None, echo: bool = False) -> int:
     from repro.apps.topo_scale import (TOPO_SCHEDULES, TOPO_STRATEGIES,
                                        TOPO_TOPOLOGIES, run_topo_campaign)
     from repro.collectives.algorithms import SCHEDULE_BUILDERS
@@ -577,8 +557,7 @@ def _topo_main(argv, store=None, echo: bool = False,
             nbytes=args.nbytes, seed=args.seed, jobs=args.jobs,
             fail_fast=args.fail_fast, cache=cache, store=store,
             progress=_topo_progress if echo else None,
-            checkpoint=checkpoint, listen=args.listen,
-            priority=args.priority, window=args.window)
+            listen=args.listen, priority=args.priority, window=args.window)
     except JobPreempted as preempt:
         print(f"\npreempted at {preempt.done}/{preempt.total} points; resume "
               f"with: python -m repro jobs resume {preempt.job_id}",
@@ -627,8 +606,7 @@ def _congestion_progress(event) -> None:
           f"p99={m['p99_latency_ns']}ns {marker}{src}", flush=True)
 
 
-def _congestion_main(argv, store=None, echo: bool = False,
-                     checkpoint=None) -> int:
+def _congestion_main(argv, store=None, echo: bool = False) -> int:
     from repro.apps.congestion import (CONGESTION_DISCIPLINES,
                                        CONGESTION_LOADS,
                                        CONGESTION_STRATEGIES,
@@ -707,8 +685,7 @@ def _congestion_main(argv, store=None, echo: bool = False,
             bg_horizon_ns=args.bg_horizon_ns, seed=args.seed,
             jobs=args.jobs, fail_fast=args.fail_fast, cache=cache,
             store=store, progress=_congestion_progress if echo else None,
-            checkpoint=checkpoint, listen=args.listen,
-            priority=args.priority, window=args.window)
+            listen=args.listen, priority=args.priority, window=args.window)
     except JobPreempted as preempt:
         print(f"\npreempted at {preempt.done}/{preempt.total} points; resume "
               f"with: python -m repro jobs resume {preempt.job_id}",

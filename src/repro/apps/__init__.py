@@ -18,9 +18,6 @@
 * :mod:`~repro.apps.congestion` -- the under-load study: strategies vs
   background traffic, finite switch queues and congestion-controlled
   transports (``python -m repro congestion``);
-* :mod:`~repro.apps.resumable` -- the checkpoint-safe token-ring relay:
-  the reference workload for deterministic checkpoint/restore and
-  incremental re-simulation (DESIGN.md §12).
 """
 
 from repro.apps.allreduce_bench import run_allreduce, strong_scaling_study
@@ -47,7 +44,6 @@ from repro.apps.microbench import (
     MicrobenchResult,
     run_microbenchmark,
 )
-from repro.apps.resumable import ResumableRingExperiment
 from repro.apps.topo_scale import TopoScaleReport, run_topo_campaign
 
 __all__ = [
@@ -59,7 +55,6 @@ __all__ = [
     "LaunchLatencyExperiment",
     "MicrobenchExperiment",
     "MicrobenchResult",
-    "ResumableRingExperiment",
     "TopoScaleReport",
     "WORKLOADS",
     "degraded_report",

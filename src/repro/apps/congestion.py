@@ -320,7 +320,6 @@ def run_congestion_campaign(loads: Sequence[float] = CONGESTION_LOADS,
                             cache: Optional[Any] = None,
                             store: Optional[Any] = None,
                             progress: Optional[Any] = None,
-                            checkpoint: Optional[Any] = None,
                             listen: Optional[Any] = None, priority: int = 0,
                             window: Optional[int] = None
                             ) -> CongestionReport:
@@ -345,7 +344,7 @@ def run_congestion_campaign(loads: Sequence[float] = CONGESTION_LOADS,
         raise ValueError("empty campaign: no load/discipline/transport axis")
     job = Job.from_sweep(Sweep(CongestionExperiment(), points=points),
                          config=config, cache=cache, store=store,
-                         checkpoint=checkpoint, priority=priority)
+                         priority=priority)
     if listen is not None:
         host, port = job.listen(listen)
         print(f"job {job.id} listening on {host}:{port} -- join with: "

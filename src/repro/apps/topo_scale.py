@@ -88,7 +88,6 @@ def run_topo_campaign(topologies: Sequence[str] = TOPO_TOPOLOGIES,
                       fail_fast: bool = False, cache: Optional[Any] = None,
                       store: Optional[Any] = None,
                       progress: Optional[Any] = None,
-                      checkpoint: Optional[Any] = None,
                       listen: Optional[Any] = None, priority: int = 0,
                       window: Optional[int] = None) -> TopoScaleReport:
     """Run the scale grid as one service-layer job (see module docstring).
@@ -116,7 +115,7 @@ def run_topo_campaign(topologies: Sequence[str] = TOPO_TOPOLOGIES,
         raise ValueError("empty campaign: no topology/schedule/strategy axis")
     job = Job.from_sweep(Sweep(CollectiveExperiment(), points=points),
                          config=config, cache=cache, store=store,
-                         checkpoint=checkpoint, priority=priority)
+                         priority=priority)
     if listen is not None:
         host, port = job.listen(listen)
         print(f"job {job.id} listening on {host}:{port} -- join with: "

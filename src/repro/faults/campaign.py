@@ -266,13 +266,12 @@ class FaultsExperiment(Experiment):
         return metrics, violation
 
     def execute(self, params=None, config=None, trace=None, *,
-                observers=None, checkpoint=None):
+                observers=None):
         # Campaign records must stay lean: drop the per-run span table
         # (the tracer itself stays on for violation context and the
         # drop/retransmit trace points).
         execution = super().execute(params, config, trace,
-                                    observers=observers,
-                                    checkpoint=checkpoint)
+                                    observers=observers)
         execution.record.spans = ()
         return execution
 
@@ -349,7 +348,6 @@ def run_faults_campaign(workloads: Sequence[str] = FAULT_WORKLOADS,
                         fail_fast: bool = False, cache: Optional[Any] = None,
                         store: Optional[Any] = None,
                         progress: Optional[Any] = None,
-                        checkpoint: Optional[Any] = None,
                         listen: Optional[Any] = None, priority: int = 0,
                         window: Optional[int] = None) -> FaultsReport:
     """Run ``seeds`` fault cases per workload, all monitors armed.
@@ -374,7 +372,7 @@ def run_faults_campaign(workloads: Sequence[str] = FAULT_WORKLOADS,
               for s in range(seed_start, seed_start + seeds)]
     job = Job.from_sweep(Sweep(FaultsExperiment(), points=points),
                          config=config, cache=cache, store=store,
-                         checkpoint=checkpoint, priority=priority)
+                         priority=priority)
     if listen is not None:
         host, port = job.listen(listen)
         print(f"job {job.id} listening on {host}:{port} -- join with: "

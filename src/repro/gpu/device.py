@@ -66,13 +66,10 @@ class Gpu:
         #: point for :mod:`repro.metrics` occupancy/latency collection.
         #: Empty (zero overhead) unless something attaches.
         self.probes: List[Callable[[str, int, Dict[str, Any]], None]] = []
-        # The front end is a callback state machine (not a generator
-        # process) so an idle or between-kernels GPU holds no generator
-        # frame and the cluster graph stays picklable for
-        # repro.checkpoint.  Work-groups remain generator processes --
-        # they run arbitrary user kernel code -- so snapshots are only
-        # legal at kernel boundaries.  The boot event reproduces the
-        # exact event count and seq numbering the old spawn() had.
+        # The front end is a callback state machine started by a boot
+        # event.  Its event count and seq numbering are pinned by the
+        # golden RunRecord fixtures, so rewriting it (e.g. back into a
+        # generator process) must keep both.
         boot = Event(sim, name=f"boot:{node}.gpu.frontend")
         boot.callbacks.append(self._fe_boot)
         boot.succeed()

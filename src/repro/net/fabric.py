@@ -264,8 +264,6 @@ class Fabric:
             tracer.point(now, msg.src, "fault", "corrupt",
                          msg_id=msg.msg_id, dst=msg.dst)
 
-        # Bound method, not a closure: pending deliveries live on the
-        # event heap and must pickle for repro.checkpoint snapshots.
         self.sim.call_later(delivery_time - now, self._deliver, delivered, done)
         if self.probes:
             for probe in self.probes:

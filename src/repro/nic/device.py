@@ -98,11 +98,10 @@ class Nic:
         self._trigger_fifo: Store = Store(sim, capacity=self.nc.trigger_fifo_depth,
                                           name=f"{node}.trigfifo")
         self._trigger_addr = 0xF000_0000 + hash(node) % 0x1000 * _TRIGGER_WINDOW_BYTES
-        # The trigger pump is a callback state machine, not a generator
-        # process: generator frames cannot be pickled, and an always-live
-        # pump generator would make every cluster un-checkpointable (see
-        # repro.checkpoint).  The boot event reproduces the exact event
-        # count and seq numbering the old spawn() had.
+        # The trigger pump is a callback state machine started by a boot
+        # event.  Its event count and seq numbering are pinned by the
+        # golden RunRecord fixtures, so rewriting it (e.g. back into a
+        # generator process) must keep both.
         boot = Event(sim, name=f"boot:{node}.nic.trigger-pump")
         boot.callbacks.append(self._pump_boot)
         boot.succeed()

@@ -18,7 +18,7 @@ observe torn entries; remote workers swap in a
 :class:`~repro.service.backends.RemoteCacheBackend` that proxies the same
 ``get``/``put`` traffic through their job connection.
 
-:class:`ResultCache` itself owns only the hit/miss/restored tally, so the
+:class:`ResultCache` itself owns only the hit/miss tally, so the
 ``stats()`` schema campaign summaries report is identical whichever
 backend moves the bytes.
 """
@@ -51,7 +51,7 @@ class ResultCache:
     ``ResultCache(root=...)`` keeps its historical meaning -- a local
     sharded directory -- while ``ResultCache(backend=...)`` mounts any
     :class:`~repro.service.backends.CacheBackend`.  The facade counts
-    hits, misses and checkpoint restores; the backend only moves records.
+    hits and misses; the backend only moves records.
     """
 
     def __init__(self, root: Union[str, Path, None] = None, *,
@@ -71,10 +71,6 @@ class ResultCache:
         self.root: Optional[Path] = getattr(backend, "root", None)
         self.hits = 0
         self.misses = 0
-        #: Misses that were then satisfied by resuming a checkpoint
-        #: rather than recomputing from t=0 (tallied by the sweep runner;
-        #: always ``<= misses`` -- a restored point is still a cache miss).
-        self.restored = 0
 
     # ------------------------------------------------------------------ paths
     def path_for_key(self, key: str) -> Path:
@@ -103,11 +99,8 @@ class ResultCache:
 
     def stats(self) -> dict:
         """This object's lookup tally, as reported in sweep/campaign
-        summaries and ``--json`` outputs: ``{"hits", "misses",
-        "restored"}``.  ``restored`` splits the misses: that many were
-        resumed from a checkpoint instead of recomputed from t=0."""
-        return {"hits": self.hits, "misses": self.misses,
-                "restored": self.restored}
+        summaries and ``--json`` outputs: ``{"hits", "misses"}``."""
+        return {"hits": self.hits, "misses": self.misses}
 
     # ------------------------------------------------------------- housekeeping
     def clear(self) -> int:

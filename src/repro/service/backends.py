@@ -14,7 +14,7 @@ method :class:`CacheBackend` protocol:
   become framed requests on the job connection, served from the
   dispatcher's own backend.
 
-Backends only move records; they never count.  The hit/miss/restored
+Backends only move records; they never count.  The hit/miss
 tally -- the ``stats()`` schema campaign summaries report -- lives on
 the :class:`~repro.runtime.cache.ResultCache` facade, so swapping the
 storage engine can never change a campaign summary or a golden fixture.

@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
-from repro.checkpoint import CheckpointConfig
 from repro.config import SystemConfig, default_config
 from repro.runtime.cache import ResultCache
 from repro.runtime.record import RunRecord, config_fingerprint
@@ -51,9 +50,8 @@ class PointDone:
     total: int
     #: Points resolved so far, this one included.
     done: int
-    #: Where the record came from: ``"run"`` (computed from t=0),
-    #: ``"restored"`` (computed, resumed from a checkpoint), ``"cache"``
-    #: or ``"journal"``.
+    #: Where the record came from: ``"run"`` (computed), ``"cache"`` or
+    #: ``"journal"``.
     source: str
     record: RunRecord
 
@@ -94,7 +92,7 @@ class Job:
         self._remote: Any = None
         self._cancel_checked_at = 0.0
         #: Source tally of the last run:
-        #: {"journal": n, "cache": n, "restored": n, "run": n}.
+        #: {"journal": n, "cache": n, "run": n}.
         self.stats: Dict[str, int] = {}
         #: Dispatch tally of the last run (parallel/remote executions):
         #: {"local": n, "remote": n, "reissued": n}.
@@ -108,7 +106,6 @@ class Job:
     def from_sweep(cls, sweep: Any, config: Optional[SystemConfig] = None,
                    cache: Optional[ResultCache] = None,
                    store: Union[JobStore, str, None] = None,
-                   checkpoint: Union["CheckpointConfig", int, None] = None,
                    priority: int = 0) -> "Job":
         """Wrap a :class:`~repro.runtime.sweep.Sweep` as a job.
 
@@ -116,12 +113,6 @@ class Job:
         gets (its hit/miss counters keep working) and for inline puts;
         parallel workers reconstruct a cache on the same root and
         write through from their side.
-
-        ``checkpoint`` arms periodic per-point checkpointing: pass a
-        full :class:`~repro.checkpoint.CheckpointConfig`, or just an
-        ``int`` interval in sim-ns -- the shorthand requires a stored
-        job and puts the snapshots in the job's own checkpoint
-        directory, where a resumed submission finds them again.
         """
         config = config or default_config()
         store = _maybe_store(store)
@@ -135,17 +126,8 @@ class Job:
             cache_root=(str(cache.root) if cache is not None
                         and cache.root is not None else None),
         )
-        if isinstance(checkpoint, int):
-            if store is None:
-                raise ValueError(
-                    "checkpoint=<interval_ns> needs a stored job (pass "
-                    "store=...), or pass a full CheckpointConfig with an "
-                    "explicit directory")
-            checkpoint = CheckpointConfig(
-                directory=str(store.checkpoint_dir(spec.job_id())),
-                interval_ns=checkpoint)
         state = SweepState(experiment=sweep.experiment, config=config,
-                           cache=cache, checkpoint=checkpoint)
+                           cache=cache)
         return cls(spec, store=store, state=state, priority=priority)
 
     @classmethod
@@ -237,7 +219,7 @@ class Job:
         points = self.spec.points
         total = len(points)
         records: List[Optional[RunRecord]] = [None] * total
-        self.stats = {"journal": 0, "cache": 0, "restored": 0, "run": 0}
+        self.stats = {"journal": 0, "cache": 0, "run": 0}
         done = 0
 
         def emit(index: int, record: RunRecord, source: str) -> None:
@@ -245,7 +227,7 @@ class Job:
             records[index] = record
             done += 1
             self.stats[source] += 1
-            if source in ("run", "restored") and self.store is not None:
+            if source == "run" and self.store is not None:
                 self.store.append_point(self.id, index, record)
             if progress is not None:
                 progress(PointDone(job_id=self.id, index=index, total=total,
@@ -304,10 +286,6 @@ class Job:
             self._set_status("cancelled", done, total)
             return records
         self._set_status("done", done, total)
-        if self.store is not None:
-            # Every point is journaled: snapshots have nothing left to
-            # protect (prefix pools included).
-            self.store.clear_checkpoints(self.id)
         return records
 
     def stream(self, jobs: int = 1) -> Iterator[PointDone]:
@@ -355,7 +333,6 @@ class Job:
         meta["experiment"] = self.spec.experiment
         if self.store is not None:
             meta["journaled"] = len(self.store.completed(self.id))
-            meta["checkpoints"] = len(self.store.checkpoints(self.id))
             if self.store.cancel_requested(self.id):
                 meta["cancel_requested"] = True
         return meta

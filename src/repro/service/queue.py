@@ -6,8 +6,8 @@ drives it through two callbacks:
 
 * ``on_done(index, record, source)`` -- invoked in the submitting
   process for every finished point, in completion order; ``source`` is
-  the runner's verdict on how the point resolved (``"run"`` from
-  scratch, ``"restored"`` from a checkpoint);
+  the runner's tag for how the point resolved (``"run"`` for the
+  shipped runners);
 * ``should_stop()`` -- polled between dispatches; once true, no new
   point is handed to a worker.  In-flight points still finish (and are
   reported through ``on_done``), which is what makes cancellation and

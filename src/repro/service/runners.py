@@ -26,11 +26,11 @@ that only knows the name.
 
 from __future__ import annotations
 
+import io
 import pickle
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.checkpoint import CheckpointConfig, CheckpointError
 from repro.config import SystemConfig
 from repro.runtime.cache import ResultCache
 from repro.runtime.experiment import Experiment
@@ -47,8 +47,6 @@ class SweepState:
     experiment: Experiment
     config: SystemConfig
     cache: Optional[ResultCache]
-    #: Periodic-checkpoint policy for every point, or ``None`` (off).
-    checkpoint: Optional[CheckpointConfig] = None
 
 
 class SweepRunner:
@@ -64,18 +62,16 @@ class SweepRunner:
         cache_root = (str(state.cache.root)
                       if state.cache is not None
                       and state.cache.root is not None else None)
-        return pickle.dumps((state.experiment, state.config, cache_root,
-                             state.checkpoint))
+        return pickle.dumps((state.experiment, state.config, cache_root))
 
     @staticmethod
     def init(payload: bytes) -> SweepState:
-        doc = pickle.loads(payload)
+        # Stored jobs from older releases carry a fourth element, a
+        # checkpoint policy or ``None``; only the first three matter.
+        doc = _LegacyPayloadUnpickler(io.BytesIO(payload)).load()
         experiment, config, cache_root = doc[:3]
-        # Payloads journaled before checkpointing existed are 3-tuples.
-        checkpoint = doc[3] if len(doc) > 3 else None
         cache = ResultCache(cache_root) if cache_root is not None else None
-        return SweepState(experiment=experiment, config=config, cache=cache,
-                          checkpoint=checkpoint)
+        return SweepState(experiment=experiment, config=config, cache=cache)
 
     @staticmethod
     def lookup(state: SweepState, point: Dict[str, Any]) -> Optional[RunRecord]:
@@ -95,34 +91,25 @@ class SweepRunner:
     @staticmethod
     def run(state: SweepState, index: int,
             point: Dict[str, Any]) -> Tuple[RunRecord, str]:
-        """Execute one point; returns ``(record, source)``.
-
-        ``source`` is ``"restored"`` when the point resumed from a
-        checkpoint (its own, or a shared parameter prefix) and ``"run"``
-        for a from-scratch execution.  Determinism makes the record
-        byte-identical either way; the tag only feeds accounting.
-        """
-        source = "run"
-        if state.checkpoint is not None:
-            try:
-                execution = state.experiment.execute(
-                    point, state.config, checkpoint=state.checkpoint)
-            except CheckpointError:
-                # The experiment cannot checkpoint (custom drive(),
-                # generator processes in its world): protection is
-                # best-effort, the point still runs -- from scratch.
-                record = state.experiment.run(point, state.config)
-            else:
-                record = execution.record
-                if execution.resumed_from_ns is not None:
-                    source = "restored"
-                    if state.cache is not None:
-                        state.cache.restored += 1
-        else:
-            record = state.experiment.run(point, state.config)
+        """Execute one point; returns ``(record, "run")``."""
+        record = state.experiment.run(point, state.config)
         if state.cache is not None:
             state.cache.put(record)
-        return record, source
+        return record, "run"
+
+
+class _Discarded:
+    """Stand-in for a class that only old payloads reference."""
+
+
+class _LegacyPayloadUnpickler(pickle.Unpickler):
+    """Unpickles sweep payloads, including older ones whose fourth
+    element is the policy object of the removed checkpoint package."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module.split(".")[:2] == ["repro", "checkpoint"]:
+            return _Discarded
+        return super().find_class(module, name)
 
 
 # --------------------------------------------------------------------- bench

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -83,11 +84,6 @@ class JobStore:
     # ------------------------------------------------------------------ paths
     def job_dir(self, job_id: str) -> Path:
         return self.root / job_id
-
-    def checkpoint_dir(self, job_id: str) -> Path:
-        """Where this job's periodic checkpoints live (see
-        :mod:`repro.checkpoint`); created lazily by the first save."""
-        return self.job_dir(job_id) / "checkpoints"
 
     def _journal_path(self, job_id: str) -> Path:
         return self.job_dir(job_id) / "journal.jsonl"
@@ -244,53 +240,15 @@ class JobStore:
         except OSError:
             pass
 
-    # ------------------------------------------------------------ checkpoints
-    def checkpoints(self, job_id: str) -> List[Dict[str, Any]]:
-        """Headers of the job's on-disk checkpoints, newest-first by
-        snapshot time; unreadable files are skipped."""
-        from repro.checkpoint import CheckpointError, read_header
-        d = self.checkpoint_dir(job_id)
-        out: List[Dict[str, Any]] = []
-        try:
-            names = sorted(os.listdir(d))
-        except OSError:
-            return out
-        for name in names:
-            try:
-                out.append(read_header(str(d / name)))
-            except (CheckpointError, OSError):
-                continue
-        out.sort(key=lambda h: h.get("sim_now_ns", 0), reverse=True)
-        return out
-
-    def clear_checkpoints(self, job_id: str) -> int:
-        """Delete the job's checkpoint directory; returns files removed."""
-        d = self.checkpoint_dir(job_id)
-        n = 0
-        if not d.is_dir():
-            return n
-        for entry in sorted(d.iterdir()):
-            try:
-                entry.unlink()
-                n += 1
-            except OSError:
-                pass
-        try:
-            d.rmdir()
-        except OSError:
-            pass
-        return n
-
     # ------------------------------------------------------------- lifecycle
     def discard(self, job_id: str) -> bool:
-        """Delete a job's directory; returns whether anything existed."""
+        """Delete a job's directory and everything under it (including
+        subdirectories older releases left there); returns whether
+        anything existed."""
         d = self.job_dir(job_id)
         if not d.is_dir():
             return False
-        self.clear_checkpoints(job_id)
-        for entry in sorted(d.iterdir()):
-            entry.unlink()
-        d.rmdir()
+        shutil.rmtree(d)
         return True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

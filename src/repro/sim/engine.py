@@ -182,13 +182,8 @@ class Timeout(Event):
 
 
 class _Call:
-    """Picklable adapter binding ``fn(*args)`` to an event callback.
-
-    :meth:`Simulator.schedule` used to close over ``callback``/``args``
-    with a lambda; checkpointing pickles pending heap entries, and
-    lambdas don't pickle.  Instances survive in checkpoints as long as
-    ``fn`` itself does (bound methods of model objects do).
-    """
+    """Event callback that calls ``fn(*args)`` and ignores the event;
+    :meth:`Simulator.schedule` attaches one to the event it returns."""
 
     __slots__ = ("fn", "args")
 
@@ -392,64 +387,6 @@ class Simulator:
                   (self._now + int(delay), priority,
                    rng.getrandbits(16) if rng is not None else 0,
                    seq, ev))
-
-    # -------------------------------------------------------- checkpointing
-    def __getstate__(self) -> dict:
-        """Pickle support for :mod:`repro.checkpoint`.
-
-        The freelist is dropped (pooled events are inert spares; the
-        restored simulator re-grows its own) and ``_running`` is forced
-        False -- snapshots are only legal between :meth:`run` calls, and
-        the checkpoint layer enforces that before pickling.
-        """
-        state = self.__dict__.copy()
-        state["_pool"] = []
-        state["_running"] = False
-        return state
-
-    def snapshot(self) -> dict:
-        """Capture the engine's scheduler state as a plain dict.
-
-        Returns ``now``, the sequence counter, ``events_processed``, the
-        heap entries (shared, not copied -- deep capture is the checkpoint
-        layer's job, via pickling the whole object graph) and the
-        tie-break RNG state.  :meth:`restore` accepts the result.
-        """
-        if self._running:
-            raise SimulationError("snapshot() while the simulator is running")
-        return {
-            "version": 1,
-            "now": self._now,
-            "seq": self._seq,
-            "events_processed": self.events_processed,
-            "heap": list(self._heap),
-            "tiebreak_state": (self._tiebreak_rng.getstate()
-                               if self._tiebreak_rng is not None else None),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Restore scheduler state captured by :meth:`snapshot`.
-
-        Heap entries keep their original ``(time, priority, tiebreak,
-        sequence)`` keys, so pop order -- including FIFO tie-breaks --
-        continues exactly as it would have in the snapshotted run.
-        """
-        if self._running:
-            raise SimulationError("restore() while the simulator is running")
-        if state.get("version") != 1:
-            raise SimulationError(
-                f"unsupported simulator snapshot version {state.get('version')!r}")
-        self._now = state["now"]
-        self._seq = state["seq"]
-        self.events_processed = state["events_processed"]
-        self._heap = list(state["heap"])
-        heapq.heapify(self._heap)
-        if state["tiebreak_state"] is None:
-            self._tiebreak_rng = None
-        else:
-            rng = random.Random()
-            rng.setstate(state["tiebreak_state"])
-            self._tiebreak_rng = rng
 
     # ------------------------------------------------------- validation hooks
     def add_step_probe(self, probe: Callable[[int, int, int, int, Event], None]) -> None:

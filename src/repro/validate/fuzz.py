@@ -229,13 +229,12 @@ class ValidateExperiment(Experiment):
         return metrics, violation
 
     def execute(self, params=None, config=None, trace=None, *,
-                observers=None, checkpoint=None):
+                observers=None):
         # Fuzz records must stay lean: a campaign is hundreds of runs, so
         # drop the per-run span table the tracer accumulated (the tracer
         # itself stays on for violation context).
         execution = super().execute(params, config, trace,
-                                    observers=observers,
-                                    checkpoint=checkpoint)
+                                    observers=observers)
         execution.record.spans = ()
         return execution
 
@@ -306,7 +305,6 @@ def run_campaign(workloads: Sequence[str] = FUZZ_WORKLOADS,
                  fail_fast: bool = False, cache: Optional[Any] = None,
                  store: Optional[Any] = None,
                  progress: Optional[Any] = None,
-                 checkpoint: Optional[Any] = None,
                  listen: Optional[Any] = None, priority: int = 0,
                  window: Optional[int] = None) -> FuzzReport:
     """Run ``seeds`` fuzz cases per workload, all monitors armed.
@@ -331,7 +329,7 @@ def run_campaign(workloads: Sequence[str] = FUZZ_WORKLOADS,
               for s in range(seed_start, seed_start + seeds)]
     job = Job.from_sweep(Sweep(ValidateExperiment(), points=points),
                          config=config, cache=cache, store=store,
-                         checkpoint=checkpoint, priority=priority)
+                         priority=priority)
     if listen is not None:
         host, port = job.listen(listen)
         print(f"job {job.id} listening on {host}:{port} -- join with: "

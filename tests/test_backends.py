@@ -71,7 +71,7 @@ class TestResultCacheFacade:
         assert cache.get("bk", {"i": 7}, "cafebabe00000000",
                          rec.code_version) == rec
         assert cache.get("bk", {"i": 8}, "cafebabe00000000") is None
-        assert cache.stats() == {"hits": 1, "misses": 1, "restored": 0}
+        assert cache.stats() == {"hits": 1, "misses": 1}
 
     def test_counters_live_on_facade_not_backend(self, tmp_path):
         backend = LocalDirBackend(tmp_path)
@@ -81,7 +81,7 @@ class TestResultCacheFacade:
         a.put(rec)
         a.get("bk", {"i": 2}, "cafebabe00000000", rec.code_version)
         assert a.stats()["hits"] == 1
-        assert b.stats() == {"hits": 0, "misses": 0, "restored": 0}
+        assert b.stats() == {"hits": 0, "misses": 0}
 
     def test_facade_byte_identity_across_seam(self, tmp_path):
         # The refactor must not move a single byte: the file a facade
@@ -131,7 +131,7 @@ class TestRemoteCacheBackend:
         cache.put(rec)
         assert cache.get("bk", {"i": 6}, "cafebabe00000000",
                          rec.code_version) == rec
-        assert cache.stats() == {"hits": 1, "misses": 0, "restored": 0}
+        assert cache.stats() == {"hits": 1, "misses": 0}
 
 
 class TestAsResultCache:

@@ -94,12 +94,12 @@ def test_resubmitted_campaign_resolves_from_cache(tmp_path, experiment):
     cold = campaign(ResultCache(cache_root), JobStore(tmp_path / "jobs-cold"))
     assert cold.ok
     points = len(cold.records)
-    assert cold.cache_stats == {"hits": 0, "misses": points, "restored": 0}
+    assert cold.cache_stats == {"hits": 0, "misses": points}
 
     backend = KeyRecordingBackend(cache_root)
     warm = campaign(ResultCache(backend=backend),
                     JobStore(tmp_path / "jobs-warm"))
-    assert warm.cache_stats == {"hits": points, "misses": 0, "restored": 0}
+    assert warm.cache_stats == {"hits": points, "misses": 0}
     assert ([r.to_json() for r in warm.records]
             == [r.to_json() for r in cold.records])
     assert backend.probed == [r.cache_key() for r in cold.records]

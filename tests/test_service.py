@@ -8,21 +8,24 @@ byte-identical to a plain serial sweep.
 """
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import types
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from repro.collectives import AllreduceExperiment
+from repro.config import default_config
 from repro.runtime import Sweep
-from repro.runtime.record import RunRecord
+from repro.runtime.record import RunRecord, config_fingerprint
 from repro.service import Job, JobPreempted, JobSpec, JobStore
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 HELPER = str(Path(__file__).resolve().parent / "_service_workload.py")
-CKPT_HELPER = str(Path(__file__).resolve().parent / "_checkpoint_workload.py")
 
 
 def _sweep() -> Sweep:
@@ -149,14 +152,14 @@ class TestJobLifecycle:
         partial = job.run(progress=stop_after_two)
         assert partial[:2] != [None, None] and partial[2:] == [None, None]
         assert job.status()["status"] == "cancelled"
-        assert job.stats == {"journal": 0, "cache": 0, "restored": 0, "run": 2}
+        assert job.stats == {"journal": 0, "cache": 0, "run": 2}
 
         # Resubmitting the identical campaign resumes: same id, the two
         # journaled points replay, only the holes execute.
         again = Job.from_sweep(_sweep(), store=store)
         assert again.id == job.id
         records = again.run()
-        assert again.stats == {"journal": 2, "cache": 0, "restored": 0, "run": 2}
+        assert again.stats == {"journal": 2, "cache": 0, "run": 2}
         assert again.status()["status"] == "done"
         serial = [r.to_json() for r in _sweep().run()]
         assert [r.to_json() for r in records] == serial
@@ -189,7 +192,58 @@ class TestJobLifecycle:
 
         resumed = Job.load(store, job.id)
         records = resumed.run()
-        assert resumed.stats == {"journal": 2, "cache": 0, "restored": 0, "run": 2}
+        assert resumed.stats == {"journal": 2, "cache": 0, "run": 2}
+        assert ([r.to_json() for r in records]
+                == [r.to_json() for r in _sweep().run()])
+
+    def test_old_job_dir_with_checkpoints_subdir(self, tmp_path):
+        # Older releases could leave a checkpoints/ subdirectory in a
+        # job that was cancelled, preempted or failed.  Such a job still
+        # resumes from its journal, and discard removes all of it.
+        store = JobStore(tmp_path)
+        job = Job.from_sweep(_sweep(), store=store)
+        job.run(progress=lambda event: event.done == 2 and job.cancel())
+        stray = store.job_dir(job.id) / "checkpoints"
+        stray.mkdir()
+        (stray / "stale.ckpt").write_bytes(b"stale snapshot")
+
+        resumed = Job.load(store, job.id)
+        records = resumed.run()
+        assert resumed.stats == {"journal": 2, "cache": 0, "run": 2}
+        assert ([r.to_json() for r in records]
+                == [r.to_json() for r in _sweep().run()])
+
+        assert store.discard(job.id) is True
+        assert not store.job_dir(job.id).exists()
+        assert store.jobs() == []
+
+    def test_payload_with_removed_checkpoint_config_loads(self, monkeypatch):
+        # Jobs submitted with a checkpoint interval by older releases
+        # pickled the removed checkpoint package's policy object as the
+        # payload's fourth element; that module no longer exists.
+        module = types.ModuleType(".".join(("repro", "checkpoint", "config")))
+
+        @dataclass(frozen=True)
+        class Policy:
+            directory: str
+            interval_ns: int
+
+        Policy.__module__ = module.__name__
+        Policy.__qualname__ = "Policy"
+        module.Policy = Policy
+        monkeypatch.setitem(sys.modules, module.__name__, module)
+        sweep, config = _sweep(), default_config()
+        payload = pickle.dumps((sweep.experiment, config, None,
+                                Policy("checkpoints", 1000)))
+        monkeypatch.delitem(sys.modules, module.__name__)
+        with pytest.raises(ImportError):
+            pickle.loads(payload)
+
+        spec = JobSpec(runner="sweep", experiment=sweep.experiment.name,
+                       points=tuple(sweep.sweep_points()),
+                       config_fingerprint=config_fingerprint(config),
+                       payload=payload)
+        records = Job(spec).run()
         assert ([r.to_json() for r in records]
                 == [r.to_json() for r in _sweep().run()])
 
@@ -252,50 +306,3 @@ class TestKillResume:
         serial = run_campaign(workloads=["microbench"], seeds=seeds)
         assert ([r.to_json() for r in records]
                 == [r.to_json() for r in serial.records])
-
-
-class TestCheckpointKillResume:
-    """SIGKILL *mid-point* (nothing journaled) resumes from a periodic
-    checkpoint, not from scratch, with byte-identical records -- the
-    ISSUE-9 acceptance property, against a real killed process."""
-
-    ENV = {"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"}
-
-    def test_sigkill_mid_point_resumes_from_checkpoint(self, tmp_path):
-        store_dir = str(tmp_path / "ckpt-jobs")
-        proc = subprocess.Popen(
-            [sys.executable, CKPT_HELPER, store_dir, "run", "4000"],
-            stdout=subprocess.PIPE, text=True, bufsize=1, env=self.ENV)
-        try:
-            for line in proc.stdout:
-                if line.startswith("checkpoint "):
-                    proc.send_signal(signal.SIGKILL)
-                    break
-            else:
-                pytest.fail("helper finished before writing a checkpoint")
-            rc = proc.wait(timeout=60)
-        finally:
-            proc.stdout.close()
-            proc.kill()
-        assert rc == -9
-
-        # The kill landed mid-point: the journal never saw it, so only
-        # the on-disk snapshots can carry the completed work forward.
-        store = JobStore(store_dir)
-        (job_id,) = store.jobs()
-        assert len(store.completed(job_id)) == 0
-        assert store.checkpoints(job_id), "no snapshot survived the kill"
-
-        # Resume in a fresh process: the helper exits nonzero unless at
-        # least one point restored from a snapshot AND every record is
-        # byte-identical to an uninterrupted checkpoint-free run.
-        out = subprocess.run(
-            [sys.executable, CKPT_HELPER, store_dir, "resume", "4000"],
-            capture_output=True, text=True, env=self.ENV, timeout=300)
-        assert out.returncode == 0, (out.stdout, out.stderr)
-        assert "byte-identical ok" in out.stdout
-
-        # Done jobs carry no snapshots: the journal now owns the result.
-        resumed = Job.load(store, job_id)
-        assert resumed.status()["status"] == "done"
-        assert resumed.status()["checkpoints"] == 0
