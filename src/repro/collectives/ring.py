@@ -20,7 +20,7 @@ replaced); allgather puts land directly in the destination chunk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 

@@ -192,18 +192,28 @@ class KernelContext:
         """Spin on a uint32 flag word until it reaches ``at_least``.
 
         A generator: use ``yield from ctx.poll_flag(...)``.  Each probe is
-        a system-scope acquire load (paper §4.2.5/§4.2.6) costing one
-        poll interval.
+        a system-scope acquire load (paper §4.2.5/§4.2.6); a failed probe
+        re-probes one poll interval later as a :meth:`Simulator.spin`
+        tick.  Returns the flag value; a flag that is already set returns
+        without scheduling anything.
         """
         if at_least <= 0:
             raise ValueError("poll target must be positive")
         word = buf.view(np.uint32, count=1, offset=offset)
-        while True:
-            self.gpu.mem.record_read(self.sim.now, Agent.GPU, buf,
-                                     scope=Scope.SYSTEM, order=MemoryOrder.ACQUIRE)
-            if int(word[0]) >= at_least:
-                return int(word[0])
-            yield self.sim.timeout(self.config.gpu.poll_interval_ns)
+        sim, record_read = self.sim, self.gpu.mem.record_read
+        poll_ns = self.config.gpu.poll_interval_ns
+        # Enum members bound once: a class-attribute lookup per probe
+        # costs more than the memoized read itself.
+        gpu, system, acquire = Agent.GPU, Scope.SYSTEM, MemoryOrder.ACQUIRE
+
+        def probe() -> Optional[int]:
+            record_read(sim.now, gpu, buf, system, acquire)
+            return None if int(word[0]) >= at_least else poll_ns
+
+        spinning = sim.spin(probe)
+        if spinning is not None:
+            yield spinning
+        return int(word[0])
 
     # ---------------------------------------------------------------- data
     def write(self, buf: Buffer, data: np.ndarray, offset: int = 0) -> None:

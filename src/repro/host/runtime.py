@@ -103,17 +103,41 @@ class Host:
         return self.nic.post_recv(tag, buf.addr(offset), nbytes)
 
     def wait_recv(self, handle: RecvHandle):
-        """Progress-engine wait: poll until the receive completes."""
-        cpu = self.config.cpu
-        while not handle.complete.triggered:
-            yield from self._work(cpu.mpi_progress_ns, "progress")
-            if handle.complete.triggered:
-                break
-            # Idle until something changes; re-check each progress tick.
-            yield self.sim.timeout(cpu.completion_poll_ns)
-        if not handle.complete.ok:
-            raise handle.complete.value
-        return handle.complete.value
+        """Progress-engine wait: poll until the receive completes.
+
+        Each round is two pops: ``mpi_progress_ns`` of progress-engine
+        work (charged to ``busy_ns`` and traced as a ``"progress"``
+        span), then -- if the receive is still incomplete --
+        ``completion_poll_ns`` idle before the next check.  The rounds
+        run as :meth:`Simulator.spin` ticks, so the wait resumes the
+        caller once instead of once per pop.  A receive that is already
+        complete returns at once; a failed one raises its exception.
+        """
+        sim, tracer, node = self.sim, self.tracer, self.node
+        progress_ns = self.config.cpu.mpi_progress_ns
+        idle_ns = self.config.cpu.completion_poll_ns
+        complete = handle.complete
+        in_progress = False
+
+        def probe() -> Optional[int]:
+            nonlocal in_progress
+            if in_progress:
+                tracer.end(sim.now, node, "cpu", "progress")
+                in_progress = False
+                return None if complete.triggered else idle_ns
+            if complete.triggered:
+                return None
+            self.stats["busy_ns"] += progress_ns
+            tracer.begin(sim.now, node, "cpu", "progress")
+            in_progress = True
+            return progress_ns
+
+        spinning = sim.spin(probe)
+        if spinning is not None:
+            yield spinning
+        if not complete.ok:
+            raise complete.value
+        return complete.value
 
     # ----------------------------------------------------------- one-sided
     def put(self, buf: Buffer, nbytes: int, target: str, remote_addr: int,
@@ -165,13 +189,26 @@ class Host:
         return buf.view(dtype, count=count, offset=offset)
 
     def poll_flag(self, buf: Buffer, offset: int = 0, at_least: int = 1):
-        """CPU spin on a uint32 flag word (coherent agent: no fences)."""
+        """CPU spin on a uint32 flag word (coherent agent: no fences).
+
+        Each probe is one load of the flag, recorded with the memory
+        model; a failed probe re-probes ``completion_poll_ns`` later as
+        a :meth:`Simulator.spin` tick.  Returns the flag value; a flag
+        that is already set returns without scheduling anything.
+        """
         word = buf.view(np.uint32, count=1, offset=offset)
-        while True:
-            self.mem.record_read(self.sim.now, Agent.CPU, buf)
-            if int(word[0]) >= at_least:
-                return int(word[0])
-            yield self.sim.timeout(self.config.cpu.completion_poll_ns)
+        sim, record_read = self.sim, self.mem.record_read
+        poll_ns = self.config.cpu.completion_poll_ns
+        cpu = Agent.CPU  # bound once: an enum lookup per probe is costly
+
+        def probe() -> Optional[int]:
+            record_read(sim.now, cpu, buf)
+            return None if int(word[0]) >= at_least else poll_ns
+
+        spinning = sim.spin(probe)
+        if spinning is not None:
+            yield spinning
+        return int(word[0])
 
     # ------------------------------------------------------------- buffers
     def alloc(self, nbytes: int, name: str = "", register: bool = True) -> Buffer:

@@ -12,6 +12,17 @@ writing agent plus a *published version*; a read by a different agent that
 precedes publication is a :class:`MemoryHazard`.  Hazards are recorded
 (and optionally raised) -- the test suite asserts that the GPU-TN kernel
 API never produces one, and that deliberately omitting the fence does.
+
+Spin-waits re-read the same flag word thousands of times, so
+:meth:`ScopedMemoryModel.record_read` keeps a *clean-read memo* per
+buffer.  Each buffer state carries a ``version`` that every write, and
+every release by an agent that wrote the buffer, bumps.  A read with the
+same ``(agent, scope, order, lo, hi)`` as one found clean at the current
+version returns at once.  The memo is exact: between version bumps the
+written, published and dirty state is frozen, and the only other
+mutation -- an acquire -- raises observed versions, which can clear a
+hazard but never create one.  Hazardous reads are never memoized, so
+each one is still logged.
 """
 
 from __future__ import annotations
@@ -80,6 +91,13 @@ class _BufferState:
     # so that pipelined protocols (write slice s+1 while the NIC reads
     # slice s of the same buffer) are not flagged as hazards.
     dirty: Dict[Agent, List[Tuple[int, int]]] = field(default_factory=dict)
+    # Bumped whenever the written, published or dirty state changes: on
+    # every write, and on a release by an agent that wrote this buffer.
+    version: int = 0
+    # Clean-read memo: (reader, scope, order, lo, hi) -> the version at
+    # which that read was last found clean.
+    clean: Dict[Tuple[Agent, Scope, MemoryOrder, int, int], int] = field(
+        default_factory=dict)
 
 
 class ScopedMemoryModel:
@@ -116,6 +134,7 @@ class ScopedMemoryModel:
         the store itself is a system-scope release.
         """
         st = self._st(buf)
+        st.version += 1
         v = st.writes.get(agent, 0) + 1
         st.writes[agent] = v
         publishes = (
@@ -144,6 +163,7 @@ class ScopedMemoryModel:
                   else list(self._state.values()))
         for st in states:
             if agent in st.writes:
+                st.version += 1
                 st.published[agent] = st.writes[agent]
                 st.dirty.pop(agent, None)
                 self._invalidate_readers(st, agent)
@@ -175,21 +195,30 @@ class ScopedMemoryModel:
                     lo: Optional[int] = None,
                     hi: Optional[int] = None) -> Optional[MemoryHazard]:
         """Record a load of ``buf[lo:hi)`` (whole buffer by default);
-        returns (and logs) a hazard if it may observe stale data."""
+        returns (and logs) a hazard if it may observe stale data.
+
+        A read found clean is memoized until the buffer's ``version``
+        moves, so a spin re-reading an unchanged flag costs one lookup;
+        hazardous reads are never memoized and log every time."""
         st = self._st(buf)
+        span = (lo if lo is not None else 0,
+                hi if hi is not None else buf.nbytes)
+        key = (agent, scope, order, span[0], span[1])
+        if st.clean.get(key) == st.version:
+            return None
         if scope >= Scope.SYSTEM and order in (
             MemoryOrder.ACQUIRE, MemoryOrder.ACQ_REL, MemoryOrder.SEQ_CST
         ):
             mine = st.acquired.setdefault(agent, {})
             for writer, pub in st.published.items():
                 mine[writer] = max(mine.get(writer, 0), pub)
-        span = (lo if lo is not None else 0,
-                hi if hi is not None else buf.nbytes)
         hazard = self._check(time, agent, buf, st, span)
-        if hazard is not None:
-            self.hazards.append(hazard)
-            if self.strict:
-                raise StaleReadError(str(hazard))
+        if hazard is None:
+            st.clean[key] = st.version
+            return None
+        self.hazards.append(hazard)
+        if self.strict:
+            raise StaleReadError(str(hazard))
         return hazard
 
     def _check(self, time: int, reader: Agent, buf: Buffer,

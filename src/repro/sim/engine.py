@@ -22,11 +22,12 @@ sweep, so :meth:`Simulator.run` drains the heap with locally bound
 references and no per-event ``until`` re-check inside a same-tick run,
 :meth:`Simulator.call_later` recycles fire-and-forget callback events
 through a freelist instead of allocating a :class:`Timeout` + closure per
-call, and the probe path costs one truthiness test when no monitor is
-attached.  None of this may reorder events: every optimization preserves
-the exact ``(time, priority, tiebreak, sequence)`` pop order (pinned by
-golden RunRecord fixtures and the determinism tests in
-``tests/test_sim_engine.py``).
+call, :meth:`Simulator.spin` runs each probe of a spin-wait as one such
+callback instead of a process resume, and the probe path costs one
+truthiness test when no monitor is attached.  None of this may reorder
+events: every optimization preserves the exact ``(time, priority,
+tiebreak, sequence)`` pop order (pinned by golden RunRecord fixtures and
+the determinism tests in ``tests/test_sim_engine.py``).
 """
 
 from __future__ import annotations
@@ -231,6 +232,37 @@ class _CallbackEvent(Event):
         fn(*args)  # type: ignore[misc]
 
 
+class _Spin(Event):
+    """The waiter's side of :meth:`Simulator.spin`: pending until a probe
+    succeeds, then processed inline by that probe's own pop.
+
+    Each re-probe is a :meth:`Simulator.call_later` tick, not a
+    :class:`Timeout` -- the pop order is the same, but a probe costs one
+    pooled callback instead of an event allocation, a process resume and
+    a generator round trip.
+    """
+
+    __slots__ = ("_probe",)
+
+    def __init__(self, sim: "Simulator", probe: Callable[[], Optional[int]]):
+        super().__init__(sim, name="spin")
+        self._probe = probe
+
+    def _tick(self) -> None:
+        if not self.callbacks:
+            # The waiter was interrupted or killed: like an orphaned
+            # Timeout, this tick pops, probes nothing, schedules nothing.
+            return
+        delay = self._probe()
+        if delay is None:
+            # Resume the waiter inside this pop, as the Timeout's
+            # callbacks did: no relay, no zero-delay event.
+            self._triggered = True
+            self._run_callbacks()
+        else:
+            self.sim.call_later(delay, self._tick)
+
+
 class _Condition(Event):
     """Base for AllOf/AnyOf composite events."""
 
@@ -387,6 +419,31 @@ class Simulator:
                   (self._now + int(delay), priority,
                    rng.getrandbits(16) if rng is not None else 0,
                    seq, ev))
+
+    def spin(self, probe: Callable[[], Optional[int]]) -> Optional[Event]:
+        """Spin-wait until ``probe()`` returns ``None``.
+
+        ``probe`` runs once inline, now.  Any other return value is the
+        delay in ns until the next probe, which runs as a pooled
+        :meth:`call_later` tick at normal priority.  Returns ``None`` if the
+        first probe already succeeded (nothing is scheduled), otherwise
+        an event to wait on: the probe that succeeds processes it inline
+        within its own pop.
+
+        Exactly the pop sequence of the hand-written loop
+        ``while (d := probe()) is not None: yield sim.timeout(d)``: one
+        event -- one ``seq`` bump, one tiebreak draw -- per failed probe,
+        with the delay and priority that loop's Timeout would have.  A
+        tick that finds nobody waiting -- the waiter was interrupted or
+        killed -- probes nothing and schedules nothing, like an orphaned
+        Timeout (see DESIGN.md §10, "spin waits").
+        """
+        delay = probe()
+        if delay is None:
+            return None
+        spinning = _Spin(self, probe)
+        self.call_later(delay, spinning._tick)
+        return spinning
 
     # ------------------------------------------------------- validation hooks
     def add_step_probe(self, probe: Callable[[int, int, int, int, Event], None]) -> None:

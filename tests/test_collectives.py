@@ -4,6 +4,8 @@ allgather / reduce-scatter / alltoall), each checked bitwise against the
 NumPy schedule oracle on every backend and on multiple topologies, with
 exactly-once trigger monitors armed on the GPU-TN runs."""
 
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from repro.collectives.algorithms import (
     recursive_doubling_allreduce_schedule, ring_allgather_schedule,
     ring_reduce_scatter_schedule)
 from repro.collectives.engine import CollectiveExperiment
-from repro.collectives.ring import allreduce_reference
+from repro.collectives.ring import _RingRank, allreduce_reference
 from repro.collectives.schedule import OpKind
 from repro.config import default_config
 from repro.runtime import Observers
@@ -124,6 +126,9 @@ class TestExecutors:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(KeyError):
             run_ring_allreduce(strategy="rdma2000")
+
+    def test_ring_rank_annotations_resolve(self):
+        assert typing.get_type_hints(_RingRank.slice_bounds)["return"]
 
     @settings(max_examples=6, deadline=None)
     @given(

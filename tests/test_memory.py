@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.config import default_config
 from repro.memory import (
@@ -253,6 +255,99 @@ class TestIntervalGranularity:
         mm, buf = self._setup()
         mm.record_write(10, Agent.GPU, buf, lo=0, hi=512)
         assert mm.record_read(20, Agent.NIC, buf, lo=512, hi=1024) is None
+
+
+# A small domain, so that random sequences often repeat a read across
+# the write, release and acquire that should (or should not) change it.
+_AGENTS = st.sampled_from(list(Agent))
+_SCOPES = st.sampled_from([Scope.DEVICE, Scope.SYSTEM])
+_ORDERS = st.sampled_from([MemoryOrder.RELAXED, MemoryOrder.ACQUIRE,
+                           MemoryOrder.RELEASE])
+_SPANS_ALL = [None, (0, 16), (16, 32)]
+_SPANS = st.sampled_from(_SPANS_ALL)
+_SUBSETS = st.sampled_from([None, (0,), (1,)])
+_BUFS = st.integers(0, 1)
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("write"), _AGENTS, _SCOPES, _ORDERS, _SPANS, _BUFS),
+    st.tuples(st.just("release"), _AGENTS, _SCOPES, _SUBSETS),
+    st.tuples(st.just("acquire"), _AGENTS, _SCOPES, _SUBSETS),
+    st.tuples(st.just("read"), _AGENTS, _SCOPES, _ORDERS, _SPANS, _BUFS,
+              st.integers(1, 3)),
+), min_size=2, max_size=30)
+
+
+class TestCleanReadMemo:
+    """The clean-read memo in ScopedMemoryModel.record_read is exact: it
+    logs the same hazards as a model whose memo is cleared before every
+    read."""
+
+    @staticmethod
+    def _apply(mm, bufs, ops, forget):
+        results = []
+
+        def read(time, agent, buf, scope, order, span):
+            if forget:
+                for state in mm._state.values():
+                    state.clean.clear()
+            lo, hi = span or (None, None)
+            results.append(mm.record_read(time, agent, buf, scope, order,
+                                          lo=lo, hi=hi))
+
+        for time, (kind, agent, scope, *rest) in enumerate(ops):
+            # Relaxed reads (no acquire side effect) of every span by
+            # every agent, so each op meets reads memoized before it.
+            for reader in Agent:
+                for buf in bufs:
+                    for span in _SPANS_ALL:
+                        read(time, reader, buf, Scope.DEVICE,
+                             MemoryOrder.RELAXED, span)
+            if kind == "write":
+                order, span, b = rest
+                lo, hi = span or (None, None)
+                mm.record_write(time, agent, bufs[b], scope, order, lo=lo, hi=hi)
+            elif kind in ("release", "acquire"):
+                (subset,) = rest
+                chosen = None if subset is None else [bufs[b] for b in subset]
+                getattr(mm, kind)(time, agent, scope, chosen)
+            else:
+                order, span, b, repeats = rest
+                for _ in range(repeats):
+                    read(time, agent, bufs[b], scope, order, span)
+        return results
+
+    @given(_OPS)
+    def test_memo_logs_the_same_hazards(self, ops):
+        space = AddressSpace()
+        bufs = [space.alloc(32, name="a"), space.alloc(32, name="b")]
+        memo, reference = ScopedMemoryModel(), ScopedMemoryModel()
+        assert (self._apply(memo, bufs, ops, forget=False)
+                == self._apply(reference, bufs, ops, forget=True))
+        assert memo.hazards == reference.hazards
+
+    def test_repeated_clean_read_skips_the_check(self, monkeypatch):
+        mm = ScopedMemoryModel()
+        buf = AddressSpace().alloc(64, name="flag")
+        mm.record_write(1, Agent.NIC, buf)
+        checks = []
+        check = mm._check
+        monkeypatch.setattr(mm, "_check",
+                            lambda *a: checks.append(a[0]) or check(*a))
+        for t in (2, 3, 4):
+            assert mm.record_read(t, Agent.GPU, buf, Scope.SYSTEM,
+                                  MemoryOrder.ACQUIRE) is None
+        assert checks == [2]
+        mm.record_write(5, Agent.NIC, buf)
+        assert mm.record_read(6, Agent.GPU, buf, Scope.SYSTEM,
+                              MemoryOrder.ACQUIRE) is None
+        assert checks == [2, 6]
+
+    def test_back_to_back_hazardous_reads_log_twice(self):
+        mm = ScopedMemoryModel()
+        buf = AddressSpace().alloc(64, name="sendbuf")
+        mm.record_write(1, Agent.GPU, buf)
+        assert mm.record_read(2, Agent.NIC, buf) is not None
+        assert mm.record_read(3, Agent.NIC, buf) is not None
+        assert [h.time for h in mm.hazards] == [2, 3]
 
 
 class TestMemoryTiming:
