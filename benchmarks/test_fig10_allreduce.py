@@ -8,8 +8,7 @@ providing speedup through 32 nodes and beyond.
 import pytest
 
 from repro.analysis import figure10_report
-from repro.apps.allreduce_bench import PAYLOAD_8MB, strong_scaling_study
-from repro.collectives import run_ring_allreduce
+from repro.apps.allreduce_bench import PAYLOAD_8MB, run_allreduce, strong_scaling_study
 
 NODE_COUNTS = (2, 8, 16, 24, 32)
 
@@ -45,5 +44,5 @@ def test_figure10_regenerate(benchmark, config, capsys):
 @pytest.mark.exhibit("figure10")
 @pytest.mark.parametrize("strategy", ("cpu", "hdn", "gds", "gputn"))
 def test_figure10_single_point(benchmark, config, strategy):
-    result = benchmark(run_ring_allreduce, config, strategy, 8, PAYLOAD_8MB)
+    result = benchmark(run_allreduce, config, strategy, 8, PAYLOAD_8MB)
     assert result.correct and result.memory_hazards == 0

@@ -737,7 +737,7 @@ def _stats_workloads():
     from repro.apps.degraded import DegradedExperiment
     from repro.apps.jacobi import JacobiExperiment
     from repro.apps.microbench import MicrobenchExperiment
-    from repro.collectives.ring import AllreduceExperiment
+    from repro.collectives import AllreduceExperiment
 
     return {
         "microbench": (MicrobenchExperiment, {}),

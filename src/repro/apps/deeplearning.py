@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.collectives.ring import AllreduceExperiment
+from repro.collectives import AllreduceExperiment
 from repro.config import KB, MB, SystemConfig, default_config
 from repro.runtime import ResultCache, Sweep
 from repro.sim.rng import RandomStreams

@@ -84,7 +84,7 @@ def jacobi_small() -> int:
 
 def ring_allreduce() -> int:
     """A 4-node 256 KiB ring allreduce (the ``repro stats`` smoke size)."""
-    from repro.collectives.ring import AllreduceExperiment
+    from repro.collectives import AllreduceExperiment
 
     execution = AllreduceExperiment().execute(
         {"strategy": "gputn", "nbytes": 256 * 1024})

@@ -9,13 +9,13 @@ pre-registered triggered put fired from inside a single persistent kernel.
 
 * :mod:`~repro.collectives.schedule` -- schedule IR + builders (ring
   Allreduce of Figure 2, plus reduce-scatter/allgather pieces);
-* :mod:`~repro.collectives.ring` -- per-strategy executors over a
-  :class:`~repro.cluster.Cluster`;
 * :mod:`~repro.collectives.algorithms` -- the schedule zoo
   (recursive-doubling / halving-doubling Allreduce, AllGather,
   ReduceScatter, all-to-all) in the same round IR;
-* :mod:`~repro.collectives.engine` -- a generic executor that runs *any*
-  canonical schedule on every strategy, plus the NumPy schedule oracle.
+* :mod:`~repro.collectives.engine` -- the one executor: it runs *any*
+  canonical schedule on every strategy (GPU-TN with per-slice software
+  pipelining), plus the NumPy schedule oracle.
+  :class:`AllreduceExperiment` (Figure 10) is its ring preset.
 """
 
 from repro.collectives.algorithms import (
@@ -27,17 +27,13 @@ from repro.collectives.algorithms import (
     ring_reduce_scatter_schedule,
 )
 from repro.collectives.engine import (
+    AllreduceExperiment,
     CollectiveExperiment,
     CollectiveResult,
     run_collective,
     schedule_reference,
 )
 from repro.collectives.offload import nic_barrier, nic_broadcast
-from repro.collectives.ring import (
-    AllreduceExperiment,
-    AllreduceResult,
-    run_ring_allreduce,
-)
 from repro.collectives.schedule import (
     CollectiveSchedule,
     ScheduleOp,
@@ -46,7 +42,6 @@ from repro.collectives.schedule import (
 
 __all__ = [
     "AllreduceExperiment",
-    "AllreduceResult",
     "CollectiveExperiment",
     "CollectiveResult",
     "CollectiveSchedule",
@@ -61,6 +56,5 @@ __all__ = [
     "ring_allreduce_schedule",
     "ring_reduce_scatter_schedule",
     "run_collective",
-    "run_ring_allreduce",
     "schedule_reference",
 ]

@@ -79,6 +79,10 @@ class Buffer:
             raise IndexError(f"offset {offset} outside buffer {self.name!r}")
         return self.base + offset
 
+    def release(self) -> None:
+        """Drop the payload; any later access to it raises."""
+        self._data = None
+
     def contains(self, addr: int, nbytes: int = 1) -> bool:
         return self.base <= addr and addr + nbytes <= self.base + self.nbytes
 

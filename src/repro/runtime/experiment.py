@@ -154,8 +154,18 @@ class Experiment:
             config: Optional[SystemConfig] = None,
             trace: Optional[bool] = None, *,
             observers: Optional[Any] = None) -> RunRecord:
-        """Run once and return only the portable :class:`RunRecord`."""
-        return self.execute(params, config, trace, observers=observers).record
+        """Run once and return only the portable :class:`RunRecord`.
+
+        The run's buffer payloads are released once the record is built:
+        a finished cluster is cyclic garbage, so it would otherwise hold
+        them until the next full collection.  Use :meth:`execute` to
+        inspect the cluster after the run.
+        """
+        execution = self.execute(params, config, trace, observers=observers)
+        for node in execution.cluster:
+            for buf in node.space.buffers():
+                buf.release()
+        return execution.record
 
 
 def _span_rows(tracer) -> tuple:

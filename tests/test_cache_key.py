@@ -11,6 +11,7 @@ base config used to miss.
 
 import importlib
 import pkgutil
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,11 +19,11 @@ import repro
 
 from repro.apps.congestion import CongestionExperiment, run_congestion_campaign
 from repro.apps.topo_scale import run_topo_campaign
-from repro.collectives.engine import CollectiveExperiment
+from repro.collectives.engine import AllreduceExperiment, CollectiveExperiment
 from repro.config import default_config
-from repro.runtime import Experiment, ResultCache
+from repro.runtime import Experiment, ResultCache, Sweep
 from repro.runtime.record import config_fingerprint, make_cache_key
-from repro.service import JobStore
+from repro.service import Job, JobStore
 from repro.service.backends import LocalDirBackend
 from repro.validate.fuzz import ValidateExperiment, run_campaign
 
@@ -53,6 +54,15 @@ def _topo(cache, store):
         cache=cache, store=store)
 
 
+def _fig10(cache, store):
+    sweep = Sweep(AllreduceExperiment(),
+                  grid={"strategy": ["gds", "gputn"], "n_nodes": [2, 3]},
+                  base={"nbytes": 16 * 1024})
+    records = Job.from_sweep(sweep, cache=cache, store=store).run()
+    return SimpleNamespace(ok=all(r.metrics["correct"] for r in records),
+                           records=records, cache_stats=cache.stats())
+
+
 def _validate(cache, store):
     return run_campaign(workloads=("microbench",), seeds=2,
                         cache=cache, store=store)
@@ -63,6 +73,7 @@ def _validate(cache, store):
 CAMPAIGNS = {
     CongestionExperiment: _congestion,
     CollectiveExperiment: _topo,
+    AllreduceExperiment: _fig10,
     ValidateExperiment: _validate,
 }
 

@@ -4,21 +4,20 @@ allgather / reduce-scatter / alltoall), each checked bitwise against the
 NumPy schedule oracle on every backend and on multiple topologies, with
 exactly-once trigger monitors armed on the GPU-TN runs."""
 
-import typing
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.collectives import (SCHEDULE_BUILDERS, ring_allreduce_schedule,
-                               run_collective, run_ring_allreduce)
+from repro.apps.allreduce_bench import run_allreduce
+from repro.collectives import (SCHEDULE_BUILDERS, AllreduceExperiment,
+                               ring_allreduce_schedule, run_collective,
+                               schedule_reference)
 from repro.collectives.algorithms import (
     halving_doubling_allreduce_schedule,
     recursive_doubling_allreduce_schedule, ring_allgather_schedule,
     ring_reduce_scatter_schedule)
 from repro.collectives.engine import CollectiveExperiment
-from repro.collectives.ring import _RingRank, allreduce_reference
 from repro.collectives.schedule import OpKind
 from repro.config import default_config
 from repro.runtime import Observers
@@ -93,6 +92,26 @@ class TestScheduleStructure:
                 assert send.chunk == recv.chunk
 
 
+def allreduce_reference(vectors, n_ranks):
+    """Closed-form ring Allreduce: replay the ring reduce order in NumPy.
+
+    Chunk ``c`` accumulates contributions in ring order starting from rank
+    ``(c + 1) mod P``: rank c sends v_c, rank c+1 computes v_{c+1} + v_c,
+    rank c+k computes v_{c+k} + acc.  Replaying that association order
+    makes the check bitwise, not approximate.
+    """
+    n = vectors[0].size
+    chunk = n // n_ranks
+    out = np.empty(n, dtype=np.float32)
+    for c in range(n_ranks):
+        sl = slice(c * chunk, (c + 1) * chunk)
+        acc = vectors[(c + 1) % n_ranks][sl] + vectors[c][sl]
+        for k in range(2, n_ranks):
+            acc = vectors[(c + k) % n_ranks][sl] + acc
+        out[sl] = acc
+    return out
+
+
 class TestReference:
     def test_reference_matches_float64_sum_closely(self):
         rng = np.random.default_rng(0)
@@ -101,34 +120,47 @@ class TestReference:
         exact = np.sum(np.stack(vecs).astype(np.float64), axis=0)
         assert np.allclose(ref, exact, rtol=1e-5)
 
+    @pytest.mark.parametrize("nbytes", (64 * 1024, 100_000))
+    @pytest.mark.parametrize("n", (2, 3, 4, 8))
+    def test_schedule_interpreter_equals_closed_form_ring(self, n, nbytes):
+        """The schedule oracle every collective is checked against agrees
+        bitwise with the independent closed-form ring reference, padded
+        payloads included."""
+        padded = AllreduceExperiment.padded_nbytes(n, nbytes)
+        vecs = [np.random.default_rng([11, r]).random(padded // 4,
+                                                      dtype=np.float32)
+                for r in range(n)]
+        schedules = [ring_allreduce_schedule(r, n) for r in range(n)]
+        expected = allreduce_reference(vecs, n)
+        for out in schedule_reference(schedules, vecs):
+            assert out.dtype == np.float32
+            assert np.array_equal(out, expected)
+
 
 class TestExecutors:
     @pytest.mark.parametrize("strategy", ("cpu", "hdn", "gds", "gputn"))
     def test_bitwise_correct(self, strategy):
-        r = run_ring_allreduce(strategy=strategy, n_nodes=4, nbytes=64 * 1024)
+        r = run_allreduce(strategy=strategy, n_nodes=4, nbytes=64 * 1024)
         assert r.correct
 
     @pytest.mark.parametrize("strategy", ("cpu", "hdn", "gds", "gputn"))
     def test_no_memory_hazards(self, strategy):
-        r = run_ring_allreduce(strategy=strategy, n_nodes=3, nbytes=48 * 1024)
+        r = run_allreduce(strategy=strategy, n_nodes=3, nbytes=48 * 1024)
         assert r.memory_hazards == 0
 
     def test_two_nodes_minimum(self):
-        r = run_ring_allreduce(strategy="gputn", n_nodes=2, nbytes=32 * 1024)
+        r = run_allreduce(strategy="gputn", n_nodes=2, nbytes=32 * 1024)
         assert r.correct
 
     def test_ragged_payload_padded(self):
         # 100 KB over 3 nodes does not divide; the runner pads.
-        r = run_ring_allreduce(strategy="cpu", n_nodes=3, nbytes=100_000)
+        r = run_allreduce(strategy="cpu", n_nodes=3, nbytes=100_000)
         assert r.correct
         assert r.nbytes % (3 * 4) == 0
 
     def test_unknown_strategy_rejected(self):
         with pytest.raises(KeyError):
-            run_ring_allreduce(strategy="rdma2000")
-
-    def test_ring_rank_annotations_resolve(self):
-        assert typing.get_type_hints(_RingRank.slice_bounds)["return"]
+            run_allreduce(strategy="rdma2000")
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -137,8 +169,8 @@ class TestExecutors:
         strategy=st.sampled_from(["hdn", "gputn"]),
     )
     def test_property_any_shape_correct(self, n_nodes, kbytes, strategy):
-        r = run_ring_allreduce(strategy=strategy, n_nodes=n_nodes,
-                               nbytes=kbytes * 1024)
+        r = run_allreduce(strategy=strategy, n_nodes=n_nodes,
+                          nbytes=kbytes * 1024)
         assert r.correct and r.memory_hazards == 0
 
 
@@ -176,9 +208,34 @@ class TestFigure10Shape:
     def test_cpu_busy_time_lower_for_gputn_than_hdn(self):
         """Table 1's CPU-overhead column, quantified: GPU-TN keeps the
         CPU off the critical path."""
-        hdn = run_ring_allreduce(strategy="hdn", n_nodes=4, nbytes=1024 * 1024)
-        tn = run_ring_allreduce(strategy="gputn", n_nodes=4, nbytes=1024 * 1024)
+        hdn = run_allreduce(strategy="hdn", n_nodes=4, nbytes=1024 * 1024)
+        tn = run_allreduce(strategy="gputn", n_nodes=4, nbytes=1024 * 1024)
         assert tn.cpu_busy_ns < hdn.cpu_busy_ns
+
+
+#: ``(total_ns, cpu_busy_ns)`` of the 1 MiB Figure 10 grid, as measured
+#: with the hand-specialized ring executor this repo had before the ring
+#: Allreduce moved onto the generic engine.  The engine's slice pipelining
+#: must keep reproducing them to the nanosecond.
+FIG10_1MIB = {
+    ("cpu", 2): (116_798, 195_596), ("cpu", 5): (196_556, 804_780),
+    ("cpu", 8): (226_443, 1_453_144), ("cpu", 11): (249_000, 2_156_000),
+    ("hdn", 2): (112_149, 159_200), ("hdn", 5): (217_560, 784_000),
+    ("hdn", 8): (280_525, 1_635_200), ("hdn", 11): (337_500, 2_728_000),
+    ("gds", 2): (101_050, 2_400), ("gds", 5): (172_800, 24_000),
+    ("gds", 8): (201_300, 67_200), ("gds", 11): (221_900, 132_000),
+    ("gputn", 2): (88_600, 7_200), ("gputn", 5): (138_960, 66_000),
+    ("gputn", 8): (151_496, 182_400), ("gputn", 11): (157_300, 356_400),
+}
+
+
+@pytest.mark.parametrize("strategy,n_nodes", sorted(FIG10_1MIB))
+def test_fig10_1mib_grid_is_pinned(strategy, n_nodes):
+    record = AllreduceExperiment().run(
+        {"strategy": strategy, "n_nodes": n_nodes, "nbytes": 1 << 20})
+    assert record.metrics["correct"] and record.hazards == 0
+    assert ((record.metrics["total_ns"], record.metrics["cpu_busy_ns"])
+            == FIG10_1MIB[strategy, n_nodes])
 
 
 # --------------------------------------------------------------------------
@@ -239,6 +296,47 @@ class TestZooScheduleStructure:
                 assert recv.nchunks == send.nchunks
 
 
+def _fire_plans(name, n_nodes, nbytes=16 * 1024):
+    """Rank 0's GPU-TN fire plan for every round boundary of a schedule."""
+    from repro.cluster import Cluster
+    from repro.collectives.engine import _ZooRank
+
+    sched = SCHEDULE_BUILDERS[name](0, n_nodes)
+    nbytes = CollectiveExperiment.padded_nbytes(sched.n_chunks, nbytes)
+    state = _ZooRank(Cluster(n_nodes=n_nodes, with_gpu=False)[0], sched,
+                     nbytes, seed=0)
+    return [state.fire_plan(k) for k in range(sched.n_rounds - 1)]
+
+
+class TestSlicePlan:
+    """The GPU-TN slice contract: trigger points follow the data, and a
+    round's slices leave in index order, each exactly once."""
+
+    @pytest.mark.parametrize("name", ["ring", "recursive-doubling"])
+    def test_slice_releases_same_slice_of_next_round(self, name):
+        for plan in _fire_plans(name, 8):
+            assert plan == [[0], [1], [2], [3]]
+
+    def test_alltoall_keeps_round_gating(self):
+        for plan in _fire_plans("alltoall", 8):
+            assert plan == [[], [], [], [0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("n_nodes", [4, 8])
+    @pytest.mark.parametrize("name", sorted(SCHEDULE_BUILDERS))
+    def test_slices_leave_in_index_order(self, name, n_nodes):
+        for plan in _fire_plans(name, n_nodes):
+            assert [t for fired in plan for t in fired] == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize("topology", ["star", "fat-tree"])
+    def test_out_of_order_slices_would_corrupt_halving_doubling(self, topology):
+        """At this size halving-doubling's data dependencies alone would
+        send a round's slices out of index order, and the arrival-count
+        flag would then release the wrong slice (wrong data, no hazard)."""
+        r = run_collective(schedule="halving-doubling", strategy="gputn",
+                           topology=topology, n_nodes=8, nbytes=256 * 1024)
+        assert r.correct and r.memory_hazards == 0
+
+
 class TestZooOracle:
     """Acceptance: every schedule, bitwise-correct vs the NumPy oracle, on
     >=3 node counts x 3 backends x >=2 topologies."""
@@ -287,25 +385,43 @@ class TestZooExactlyOnce:
     trigger entry fires exactly once, fabric order and transport acceptance
     invariants hold, and the result still matches the oracle."""
 
-    @pytest.mark.parametrize("topology", ("star", "fat-tree"))
-    @pytest.mark.parametrize("schedule", ZOO_SCHEDULES)
-    def test_monitored_gputn_run_is_clean(self, schedule, topology):
+    @staticmethod
+    def _monitored_run(schedule, topology, n_nodes):
         monitors = []
         execution = CollectiveExperiment().execute(
             {"schedule": schedule, "strategy": "gputn", "topology": topology,
-             "n_nodes": 8, "nbytes": 8 * 1024, "seed": 11},
+             "n_nodes": n_nodes, "nbytes": 8 * 1024, "seed": 11},
             observers=Observers(
                 instruments=(lambda c: monitors.extend(attach_monitors(c)),)),
         )
         assert monitors  # the suite actually armed
         for monitor in monitors:  # raises InvariantViolation on failure
             monitor.finalize()
-        assert execution.raw.correct
+        assert execution.raw.correct and execution.raw.memory_hazards == 0
         exactly_once = [m for m in monitors
                         if m.invariant == "trigger-exactly-once"]
         assert exactly_once
-        # The GPU-TN run exercised real triggered ops: the monitor saw
-        # every entry fire exactly once (n_rounds per rank).
         fires = [n for _, _, n in exactly_once[0]._entries.values()]
         assert fires and all(n == 1 for n in fires)
-        assert len(fires) == 8 * execution.raw.n_rounds
+        return execution, fires
+
+    @pytest.mark.parametrize("topology", ("star", "fat-tree"))
+    @pytest.mark.parametrize("schedule", ZOO_SCHEDULES)
+    def test_monitored_gputn_run_is_clean(self, schedule, topology):
+        execution, fires = self._monitored_run(schedule, topology, 8)
+        # The GPU-TN run exercised real triggered ops: the monitor saw
+        # every slice entry fire exactly once.  Every block here holds at
+        # least 4 float32s, so each round is 4 slices per rank.
+        assert len(fires) == 8 * 4 * execution.raw.n_rounds
+
+    @pytest.mark.parametrize("topology", ("star", "fat-tree"))
+    @pytest.mark.parametrize("schedule,n_nodes",
+                             [(s, 4) for s in sorted(SCHEDULE_BUILDERS)]
+                             + [("ring", 8)])
+    def test_pipelined_slices_stay_correct(self, schedule, n_nodes, topology):
+        """The rest of the zoo x {star, fat-tree} x {4, 8} grid: slice
+        pipelining keeps every schedule bitwise-correct and hazard-free
+        under the full monitor suite (naive slice-to-slice triggering
+        broke halving-doubling at 4 and 8 nodes)."""
+        execution, fires = self._monitored_run(schedule, topology, n_nodes)
+        assert len(fires) == n_nodes * 4 * execution.raw.n_rounds

@@ -96,33 +96,32 @@ class TestGraphTopologyCluster:
         assert t >= 3 * 100 + 2 * 100
 
     def test_allreduce_on_two_switch_fabric(self):
-        """The ring Allreduce is fabric-agnostic: correct across switches."""
-        from repro.collectives.ring import run_ring_allreduce
-
-        topo = two_switch_topology()
-        cfg = default_config()
-        # run_ring_allreduce builds its own cluster; emulate by running
-        # the executors over a custom cluster instead.
+        """The ring Allreduce is fabric-agnostic: correct across switches
+        on every backend.  The experiment builds its own cluster from a
+        topology spec string, so the executors run over a custom cluster
+        instead."""
         from repro.cluster import Cluster as C
-        from repro.collectives.ring import (
-            _RingRank, _gputn_rank, allreduce_reference)
+        from repro.collectives import ring_allreduce_schedule, schedule_reference
+        from repro.collectives.engine import _ZOO_EXECUTORS, _ZooRank
 
-        cluster = C(n_nodes=4, config=cfg, topology=topo, trace=False)
-        states = [_RingRank(cluster[r], r, 4, 64 * 1024, seed=2)
-                  for r in range(4)]
-        initial = [s.vector.view(np.float32).copy() for s in states]
-        peers = {r: cluster[r] for r in range(4)}
-        for r in range(4):
-            cluster[r].host._ring_state = states[r]
-        procs = [cluster.spawn(_gputn_rank(states[r], peers))
-                 for r in range(4)]
-        cluster.run()
-        for p in procs:
-            assert p.ok
-        expected = allreduce_reference(initial, 4)
-        for s in states:
-            assert (s.vector.view(np.float32) == expected).all()
-        del run_ring_allreduce
+        schedules = [ring_allreduce_schedule(r, 4) for r in range(4)]
+        for strategy, executor in sorted(_ZOO_EXECUTORS.items()):
+            cluster = C(n_nodes=4, config=default_config(),
+                        topology=two_switch_topology(), trace=False)
+            states = [_ZooRank(cluster[r], schedules[r], 64 * 1024, seed=2)
+                      for r in range(4)]
+            initial = [s.vector.view(np.float32).copy() for s in states]
+            peers = {r: cluster[r] for r in range(4)}
+            for r in range(4):
+                cluster[r].host._zoo_state = states[r]
+            procs = [cluster.spawn(executor(states[r], peers))
+                     for r in range(4)]
+            cluster.run()
+            assert all(p.ok for p in procs), strategy
+            assert cluster.total_hazards() == 0, strategy
+            expected = schedule_reference(schedules, initial)
+            for s, exp in zip(states, expected):
+                assert (s.vector.view(np.float32) == exp).all(), strategy
 
 
 class TestMultiHopTransport:

@@ -1,6 +1,8 @@
 """Tests for the unified experiment runtime (repro.runtime)."""
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -10,6 +12,7 @@ from repro.collectives import AllreduceExperiment
 from repro.config import default_config
 from repro.runtime import (
     Experiment,
+    Observers,
     ResultCache,
     RunRecord,
     Sweep,
@@ -88,6 +91,38 @@ class TestExperimentLifecycle:
         raw = run_jacobi(n=8, iters=1)
         rec = JacobiExperiment().run({"n": 8, "iters": 1})
         assert rec.metrics["total_ns"] == raw.total_ns
+
+    def test_run_releases_buffer_payloads(self):
+        """A finished cluster is cyclic garbage; run() frees its buffer
+        payloads itself instead of leaving them to the next full
+        collection, and the record does not change."""
+        payloads = []
+
+        def watch_allocs(cluster):
+            for node in cluster:
+                alloc = node.space.alloc
+
+                def tracking_alloc(*args, _alloc=alloc, **kwargs):
+                    buf = _alloc(*args, **kwargs)
+                    payloads.append(weakref.ref(buf.data))
+                    return buf
+                node.space.alloc = tracking_alloc
+
+        point = {"strategy": "gputn", "n_nodes": 2, "nbytes": 1024}
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            record = AllreduceExperiment().run(
+                point, observers=Observers(instruments=(watch_allocs,)))
+            assert payloads
+            assert all(ref() is None for ref in payloads)
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        execution = AllreduceExperiment().execute(point)
+        kept = list(execution.cluster[0].space.buffers())
+        assert kept and all(b.data is not None for b in kept)  # execute() keeps them
+        assert record.to_json() == execution.record.to_json()
 
 
 class TestSweep:
