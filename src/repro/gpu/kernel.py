@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.config import SystemConfig
 from repro.memory import Agent, Buffer, MemoryOrder, Scope
-from repro.sim import Event, Simulator
+from repro.sim import Event, Simulator, SpinWatch
 
 __all__ = ["KernelContext", "KernelDescriptor"]
 
@@ -193,24 +193,35 @@ class KernelContext:
 
         A generator: use ``yield from ctx.poll_flag(...)``.  Each probe is
         a system-scope acquire load (paper §4.2.5/§4.2.6); a failed probe
-        re-probes one poll interval later as a :meth:`Simulator.spin`
-        tick.  Returns the flag value; a flag that is already set returns
-        without scheduling anything.
+        re-probes one poll interval later on :meth:`Simulator.spin`.
+        Untraced, the spin is watched: it sleeps until the flag's buffer
+        is next written or released and resumes at the probe that would
+        first have seen it.  Returns the flag value; a flag that is
+        already set returns without scheduling anything.
         """
         if at_least <= 0:
             raise ValueError("poll target must be positive")
         word = buf.view(np.uint32, count=1, offset=offset)
-        sim, record_read = self.sim, self.gpu.mem.record_read
+        sim, mem = self.sim, self.gpu.mem
+        record_read = mem.record_read
         poll_ns = self.config.gpu.poll_interval_ns
         # Enum members bound once: a class-attribute lookup per probe
         # costs more than the memoized read itself.
         gpu, system, acquire = Agent.GPU, Scope.SYSTEM, MemoryOrder.ACQUIRE
+        clean = True
 
         def probe() -> Optional[int]:
-            record_read(sim.now, gpu, buf, system, acquire)
+            nonlocal clean
+            clean = record_read(sim.now, gpu, buf, system, acquire) is None
             return None if int(word[0]) >= at_least else poll_ns
 
-        spinning = sim.spin(probe)
+        def subscribe(wake) -> bool:
+            if clean:  # a hazardous load must be logged on every probe
+                mem.watch(buf, wake)
+            return clean
+
+        watch = None if self.gpu.tracer.enabled else SpinWatch((poll_ns,), subscribe)
+        spinning = sim.spin(probe, watch)
         if spinning is not None:
             yield spinning
         return int(word[0])

@@ -22,7 +22,7 @@ from repro.gpu.device import Gpu, KernelInstance
 from repro.gpu.kernel import KernelDescriptor
 from repro.memory import Agent, Buffer, MemoryTiming
 from repro.nic.device import Nic, PutHandle, RecvHandle
-from repro.sim import Event, Simulator, Tracer
+from repro.sim import Event, Simulator, SpinWatch, Tracer, WatchedEvent
 
 __all__ = ["Host"]
 
@@ -105,13 +105,16 @@ class Host:
     def wait_recv(self, handle: RecvHandle):
         """Progress-engine wait: poll until the receive completes.
 
-        Each round is two pops: ``mpi_progress_ns`` of progress-engine
+        Each round is two probes: ``mpi_progress_ns`` of progress-engine
         work (charged to ``busy_ns`` and traced as a ``"progress"``
         span), then -- if the receive is still incomplete --
         ``completion_poll_ns`` idle before the next check.  The rounds
-        run as :meth:`Simulator.spin` ticks, so the wait resumes the
-        caller once instead of once per pop.  A receive that is already
-        complete returns at once; a failed one raises its exception.
+        run on :meth:`Simulator.spin`, so the wait resumes the caller
+        once instead of once per probe.  Untraced, the spin is watched:
+        it sleeps until the receive is triggered, charges the rounds it
+        skipped by arithmetic, and resumes at the check the loop would
+        have made.  A receive that is already complete returns at once;
+        a failed one raises its exception.
         """
         sim, tracer, node = self.sim, self.tracer, self.node
         progress_ns = self.config.cpu.mpi_progress_ns
@@ -132,7 +135,23 @@ class Host:
             in_progress = True
             return progress_ns
 
-        spinning = sim.spin(probe)
+        def skip(n: int) -> None:
+            # n skipped probes alternate end-of-round and start-of-round;
+            # each start charges one progress pass.
+            nonlocal in_progress
+            starts = n // 2 if in_progress else (n + 1) // 2
+            self.stats["busy_ns"] += starts * progress_ns
+            if n % 2:
+                in_progress = not in_progress
+
+        def subscribe(wake) -> bool:
+            complete.watch(wake)
+            return True
+
+        watch = None
+        if not tracer.enabled and isinstance(complete, WatchedEvent):
+            watch = SpinWatch((progress_ns, idle_ns), subscribe, skip)
+        spinning = sim.spin(probe, watch)
         if spinning is not None:
             yield spinning
         if not complete.ok:
@@ -192,20 +211,31 @@ class Host:
         """CPU spin on a uint32 flag word (coherent agent: no fences).
 
         Each probe is one load of the flag, recorded with the memory
-        model; a failed probe re-probes ``completion_poll_ns`` later as
-        a :meth:`Simulator.spin` tick.  Returns the flag value; a flag
-        that is already set returns without scheduling anything.
+        model; a failed probe re-probes ``completion_poll_ns`` later on
+        :meth:`Simulator.spin`.  Untraced, the spin is watched: it sleeps
+        until the flag's buffer is next written and resumes at the probe
+        that would first have seen the write (the probes in between are
+        clean-read memo hits with no effect).  Returns the flag value; a
+        flag that is already set returns without scheduling anything.
         """
         word = buf.view(np.uint32, count=1, offset=offset)
-        sim, record_read = self.sim, self.mem.record_read
+        sim, mem, record_read = self.sim, self.mem, self.mem.record_read
         poll_ns = self.config.cpu.completion_poll_ns
         cpu = Agent.CPU  # bound once: an enum lookup per probe is costly
+        clean = True
 
         def probe() -> Optional[int]:
-            record_read(sim.now, cpu, buf)
+            nonlocal clean
+            clean = record_read(sim.now, cpu, buf) is None
             return None if int(word[0]) >= at_least else poll_ns
 
-        spinning = sim.spin(probe)
+        def subscribe(wake) -> bool:
+            if clean:  # a hazardous load must be logged on every probe
+                mem.watch(buf, wake)
+            return clean
+
+        watch = None if self.tracer.enabled else SpinWatch((poll_ns,), subscribe)
+        spinning = sim.spin(probe, watch)
         if spinning is not None:
             yield spinning
         return int(word[0])

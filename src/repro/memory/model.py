@@ -23,13 +23,19 @@ written, published and dirty state is frozen, and the only other
 mutation -- an acquire -- raises observed versions, which can clear a
 hazard but never create one.  Hazardous reads are never memoized, so
 each one is still logged.
+
+The same version bump is what a sleeping spin waits for:
+:meth:`ScopedMemoryModel.watch` registers a one-shot wake-up on a
+buffer, called by the next write or version-bumping release.  Until
+then every re-read of the flag would be a memo hit, which is why a
+watched spin may skip them.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.memory.address_space import Buffer
 
@@ -98,6 +104,8 @@ class _BufferState:
     # which that read was last found clean.
     clean: Dict[Tuple[Agent, Scope, MemoryOrder, int, int], int] = field(
         default_factory=dict)
+    # One-shot wake-ups for the next version bump (see watch()).
+    watchers: List[Callable[[], None]] = field(default_factory=list)
 
 
 class ScopedMemoryModel:
@@ -152,6 +160,8 @@ class ScopedMemoryModel:
             if span[0] >= span[1]:
                 raise ValueError(f"empty write interval {span}")
             st.dirty.setdefault(agent, []).append(span)
+        if st.watchers:
+            self._wake(st)
 
     def release(self, time: int, agent: Agent, scope: Scope = Scope.SYSTEM,
                 buffers: Optional[List[Buffer]] = None) -> None:
@@ -167,6 +177,8 @@ class ScopedMemoryModel:
                 st.published[agent] = st.writes[agent]
                 st.dirty.pop(agent, None)
                 self._invalidate_readers(st, agent)
+                if st.watchers:
+                    self._wake(st)
 
     def acquire(self, time: int, agent: Agent, scope: Scope = Scope.SYSTEM,
                 buffers: Optional[List[Buffer]] = None) -> None:
@@ -179,6 +191,18 @@ class ScopedMemoryModel:
             mine = st.acquired.setdefault(agent, {})
             for writer, pub in st.published.items():
                 mine[writer] = max(mine.get(writer, 0), pub)
+
+    def watch(self, buf: Buffer, wake: Callable[[], None]) -> None:
+        """Call ``wake()`` once, at the next write to ``buf`` or release
+        that bumps its version -- the first event after which a re-read
+        could differ from a clean read now."""
+        self._st(buf).watchers.append(wake)
+
+    @staticmethod
+    def _wake(st: _BufferState) -> None:
+        watchers, st.watchers = st.watchers, []
+        for wake in watchers:
+            wake()
 
     @staticmethod
     def _invalidate_readers(st: _BufferState, writer: Agent) -> None:

@@ -32,7 +32,7 @@ from repro.net import DeliveredMessage, Fabric, Message
 from repro.net.packet import MessageKind
 from repro.nic.lookup import make_lookup
 from repro.nic.triggered import NetworkOp, TriggerEntry, TriggerList
-from repro.sim import Event, Simulator, Store, Tracer
+from repro.sim import Event, Simulator, Store, Tracer, WatchedEvent
 
 __all__ = ["Nic", "PutHandle", "RecvHandle", "GetHandle"]
 
@@ -370,7 +370,7 @@ class Nic:
     def post_recv(self, tag: int, local_addr: int, nbytes: int) -> RecvHandle:
         """Post a two-sided receive; matches sends by tag, FIFO per tag."""
         handle = RecvHandle(tag=tag, local_addr=local_addr, nbytes=nbytes,
-                            complete=self.sim.event(f"recv:{tag}"))
+                            complete=WatchedEvent(self.sim, f"recv:{tag}"))
         waiting = self._unexpected.get(tag)
         if waiting:
             delivered = waiting.popleft()

@@ -26,7 +26,9 @@ from repro.sim.engine import (
     Interrupt,
     SimulationError,
     Simulator,
+    SpinWatch,
     Timeout,
+    WatchedEvent,
 )
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.resources import Container, Resource, Store
@@ -46,8 +48,10 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "Span",
+    "SpinWatch",
     "Store",
     "Timeout",
     "TraceEvent",
     "Tracer",
+    "WatchedEvent",
 ]

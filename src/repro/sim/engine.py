@@ -25,16 +25,24 @@ through a freelist instead of allocating a :class:`Timeout` + closure per
 call, :meth:`Simulator.spin` runs each probe of a spin-wait as one such
 callback instead of a process resume, and the probe path costs one
 truthiness test when no monitor is attached.  None of this may reorder
-events: every optimization preserves the exact ``(time, priority,
-tiebreak, sequence)`` pop order (pinned by golden RunRecord fixtures and
-the determinism tests in ``tests/test_sim_engine.py``).
+events: every optimization preserves the ``(time, priority, tiebreak,
+sequence)`` pop order of every event it keeps (pinned by golden
+RunRecord fixtures and the determinism tests in
+``tests/test_sim_engine.py``).  The one thing an optimization may drop
+is a failed poll: a *watched* spin (:class:`SpinWatch`) sleeps until its
+flag is written and then pops once, at the sequence key the ticking
+loop's successful tick would have had.  With tie-breaks unseeded a
+skipped tick is only a missing ``seq`` bump, and ``seq`` stays
+monotone, so every other event keeps its relative order.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from typing import Any, Callable, Iterable, Optional
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Optional, Tuple
 
 __all__ = [
     "AllOf",
@@ -43,7 +51,9 @@ __all__ = [
     "Interrupt",
     "SimulationError",
     "Simulator",
+    "SpinWatch",
     "Timeout",
+    "WatchedEvent",
 ]
 
 #: Default priority for scheduled events.  Lower fires first at equal time.
@@ -56,10 +66,23 @@ PRIORITY_URGENT = 0
 #: burst of in-flight callbacks does not pin memory forever.
 _POOL_MAX = 4096
 
+#: Pops the wake-order log keeps while a watched spin sleeps (see
+#: Simulator._log); the older half is dropped when it fills.
+_LOG_MAX = 1 << 12
+#: Deepest chain of same-instant order questions one wake may ask before
+#: it refuses to guess (see _cmp_moment).
+_MAX_DEPTH = 64
+#: Priorities of the pseudo-pops Simulator._current_pop() reports when
+#: no pop is logged (nothing due has popped yet) and after a run (all
+#: that was due has).
+_BEFORE_RUN = -1
+_AFTER_RUN = 1 << 62
+
 # Module-level bindings: one global load instead of a module-attribute
 # lookup per scheduled event.
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+_log_time = itemgetter(0)
 
 
 class SimulationError(RuntimeError):
@@ -232,21 +255,98 @@ class _CallbackEvent(Event):
         fn(*args)  # type: ignore[misc]
 
 
+class WatchedEvent(Event):
+    """An event that tells its watchers the moment it is triggered.
+
+    :meth:`succeed`/:meth:`fail` set ``triggered`` at call time, but the
+    event pops (and runs its callbacks) only ``delay`` later.  A watched
+    spin that polls ``triggered`` (``Host.wait_recv``) needs the call-time
+    instant, so each watcher registered with :meth:`watch` is called once,
+    right after the trigger.
+    """
+
+    __slots__ = ("_watchers",)
+
+    def __init__(self, sim: "Simulator", name: str = ""):
+        super().__init__(sim, name)
+        self._watchers: list[Callable[[], None]] = []
+
+    def watch(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` once, when this event is next triggered."""
+        self._watchers.append(fn)
+
+    def succeed(self, value: Any = None, delay: int = 0,
+                priority: int = PRIORITY_NORMAL) -> "Event":
+        super().succeed(value, delay, priority)
+        self._notify()
+        return self
+
+    def fail(self, exception: BaseException, delay: int = 0,
+             priority: int = PRIORITY_NORMAL) -> "Event":
+        super().fail(exception, delay, priority)
+        self._notify()
+        return self
+
+    def _notify(self) -> None:
+        watchers, self._watchers = self._watchers, []
+        for fn in watchers:
+            fn()
+
+
+class SpinWatch:
+    """What lets :meth:`Simulator.spin` sleep instead of ticking.
+
+    * ``cycle`` -- the delays the probe returns after each failed probe,
+      repeating from the first (``(poll_ns,)`` for a flag poll,
+      ``(progress_ns, idle_ns)`` for the MPI progress loop);
+    * ``subscribe(wake)`` -- arrange one call of ``wake()`` when a probe
+      could next succeed (the flag's buffer is written, the receive is
+      triggered) and return ``True``; or return ``False`` if the probe
+      that just failed must not be skipped when repeated (a flag load
+      that logged a hazard must log one per probe), and the spin ticks;
+    * ``skip(n)`` -- apply the side effects of ``n`` failed probes that
+      were not run (``None``: they have none).
+    """
+
+    __slots__ = ("cycle", "subscribe", "skip", "period", "prefix")
+
+    def __init__(self, cycle: Tuple[int, ...],
+                 subscribe: Callable[[Callable[[], None]], bool],
+                 skip: Optional[Callable[[int], None]] = None):
+        self.cycle = cycle
+        self.subscribe = subscribe
+        self.skip = skip
+        #: One cycle's length, and each tick's offset into it.
+        self.period = sum(cycle)
+        self.prefix = (0,) if len(cycle) == 1 else tuple(
+            sum(cycle[:i]) for i in range(len(cycle)))
+
+
 class _Spin(Event):
     """The waiter's side of :meth:`Simulator.spin`: pending until a probe
     succeeds, then processed inline by that probe's own pop.
 
-    Each re-probe is a :meth:`Simulator.call_later` tick, not a
-    :class:`Timeout` -- the pop order is the same, but a probe costs one
-    pooled callback instead of an event allocation, a process resume and
-    a generator round trip.
+    Ticking form: each re-probe is a :meth:`Simulator.call_later` tick,
+    not a :class:`Timeout` -- the pop order is the same, but a probe
+    costs one pooled callback instead of an event allocation, a process
+    resume and a generator round trip.
+
+    Watched form (a :class:`SpinWatch` was given): after a failed probe
+    the waiter *arms* (:class:`_Arm`) and sleeps with no heap entry.  The
+    watch's wake-up places one check at the first tick the ticking form
+    would have probed after the write, under that tick's own heap key
+    (:class:`_Stamp`); the check charges the skipped probes through
+    ``watch.skip`` and runs the real probe.
     """
 
-    __slots__ = ("_probe",)
+    __slots__ = ("_probe", "_watch", "_arm")
 
-    def __init__(self, sim: "Simulator", probe: Callable[[], Optional[int]]):
+    def __init__(self, sim: "Simulator", probe: Callable[[], Optional[int]],
+                 watch: Optional[SpinWatch] = None):
         super().__init__(sim, name="spin")
         self._probe = probe
+        self._watch = watch
+        self._arm: Optional[_Arm] = None
 
     def _tick(self) -> None:
         if not self.callbacks:
@@ -261,6 +361,223 @@ class _Spin(Event):
             self._run_callbacks()
         else:
             self.sim.call_later(delay, self._tick)
+
+    # ------------------------------------------------------ watched form
+    def _sleep(self, delay: int) -> None:
+        """After a failed probe: arm and sleep, or tick like the loop."""
+        sim, watch = self.sim, self._watch
+        if delay != watch.cycle[0]:
+            raise SimulationError(
+                f"watched spin probe returned delay {delay}, but its watch "
+                f"cycle starts with {watch.cycle[0]}")
+        # Seeded schedules and step probes observe every tick; a zero
+        # delay would put a tick in the instant of the one before.
+        if (sim._tiebreak_rng is None and not sim._step_probes
+                and min(watch.cycle) > 0 and watch.subscribe(self._wake)):
+            self._arm = sim._arm_spin(self._arm, watch)
+        else:
+            self._leave()
+            sim.call_later(delay, self._tick)
+
+    def _wake(self) -> None:
+        """The watch fired: place the one check that replaces the ticks
+        up to the first one that could see the change."""
+        arm, sim = self._arm, self.sim
+        if not self.callbacks:
+            # Interrupted or killed while asleep: nothing to wake.
+            self._leave()
+            return
+        now = sim._now
+        j = arm.first(now)
+        t = arm.instant(j)
+        if t == now and sim._tick_popped(arm, j):
+            j += 1
+            t = arm.instant(j)
+        arm.pending = j
+        stamp = _Stamp(arm, j)
+        # The check is a pooled callback, like the tick it replaces, but
+        # pushed under the tick's stamp instead of a fresh seq.
+        pool = sim._pool
+        check = pool.pop() if pool else _CallbackEvent(sim)
+        check._fn = self._check
+        check._sched_seq = stamp  # type: ignore[assignment]
+        _heappush(sim._heap, (t, PRIORITY_NORMAL, 0, stamp, check))
+
+    def _check(self) -> None:
+        arm = self._arm
+        j, arm.pending = arm.pending, None
+        if not self.callbacks:
+            self._leave()
+            return
+        if self._watch.skip is not None:
+            self._watch.skip(j - 1)
+        delay = self._probe()
+        if delay is None:
+            self._leave()
+            self._triggered = True
+            self._run_callbacks()
+        else:
+            self._sleep(delay)
+
+    def _leave(self) -> None:
+        if self._arm is not None:
+            self.sim._disarm_spin(self._arm)
+            self._arm = None
+
+
+class _Arm:
+    """One sleep of a watched spin, and the ticks it skips.
+
+    Tick ``j`` (``j >= 1``) would pop at :meth:`instant` ``(j)`` under the
+    key ``(instant(j), PRIORITY_NORMAL, 0, seq)``, where ``seq`` was
+    stamped when tick ``j - 1`` popped (tick 0 is the probe that armed).
+    Its place among real events is therefore fixed by :meth:`gap`: the
+    scheduling counter at the moment tick ``j - 1`` popped, read back
+    from the simulator's pop log.  Arms with the same tick instants form a
+    *lockstep class*; within one, ticks pop in the fixed order ``lkey``
+    set when each member armed.
+    """
+
+    __slots__ = ("sim", "t0", "seq0", "kprio", "kseq", "ordinal", "period",
+                 "prefix", "cls", "lkey", "pending", "_gaps")
+
+    def __init__(self, sim: "Simulator", watch: SpinWatch, ordinal: int):
+        cur = sim._current_pop()
+        self.sim = sim
+        self.t0 = t0 = sim._now
+        self.seq0 = sim._seq
+        #: Priority and seq of the pop this arm happened in.
+        self.kprio = cur[1]
+        self.kseq = cur[2]
+        self.ordinal = ordinal
+        self.period = watch.period
+        self.prefix = watch.prefix
+        self.cls = (watch.cycle, t0 % watch.period)
+        self.lkey = 0.0
+        #: Index of the tick a check has been placed at, if any.
+        self.pending: Optional[int] = None
+        self._gaps: dict[int, int] = {}
+
+    def instant(self, j: int) -> int:
+        """Time of tick ``j`` (tick 0: the arming probe)."""
+        prefix = self.prefix
+        if len(prefix) == 1:
+            return self.t0 + j * self.period
+        n = len(prefix)
+        return self.t0 + (j // n) * self.period + prefix[j % n]
+
+    def first(self, t: int) -> int:
+        """Index of the first tick (``j >= 1``) at or after time ``t``."""
+        n = len(self.prefix)
+        if n == 1:
+            return max(1, -((self.t0 - t) // self.period))
+        j = max(1, (t - self.t0) // self.period * n)
+        while self.instant(j) < t:
+            j += 1
+        return j
+
+    def gap(self, j: int, depth: int = 0) -> int:
+        """The scheduling counter when tick ``j`` popped (or would have):
+        a real event sorts before tick ``j + 1`` iff its ``seq`` is at
+        most this."""
+        if j == 0:
+            return self.seq0
+        g = self._gaps.get(j)
+        if g is None:
+            g = self._gaps[j] = self.sim._counter_at_tick(self, j, depth)
+        return g
+
+    def stamped_before(self, j: int, seq: int, depth: int) -> bool:
+        """Whether the real event with ``seq`` was scheduled before tick
+        ``j`` popped.  Bounds from the log decide most cases without
+        resolving tick ``j``'s own place."""
+        if j == 0:
+            return seq <= self.seq0
+        g = self._gaps.get(j)
+        if g is None:
+            lo, hi = self.sim._log_span(self.instant(j))
+            if seq <= self.sim._counter_before(lo):
+                return True
+            if seq > self.sim._counter_before(hi):
+                return False
+            g = self.gap(j, depth + 1)
+        return seq <= g
+
+    def pos(self, j: int) -> tuple:
+        """Where in its instant tick ``j`` pops: a comparable
+        ``(priority, seq key, after, ordinal)``."""
+        if j == 0:
+            return (self.kprio, self.kseq, 1, self.ordinal)
+        return (PRIORITY_NORMAL, _Stamp(self, j), 0, 0)
+
+
+class _Stamp:
+    """The ``seq`` of a skipped tick: tick ``j`` of ``arm``.
+
+    Compares with real (integer) sequence numbers and with other stamps
+    exactly as the tick the ticking loop scheduled would have, so a check
+    pushed under it pops where that tick would have popped.
+    """
+
+    __slots__ = ("arm", "j")
+
+    def __init__(self, arm: _Arm, j: int):
+        self.arm = arm
+        self.j = j
+
+    def __lt__(self, other: Any) -> bool:
+        return _cmp_seq(self, other, 0) < 0
+
+    def __gt__(self, other: Any) -> bool:
+        return _cmp_seq(self, other, 0) > 0
+
+    def __eq__(self, other: Any) -> bool:
+        return (other.__class__ is _Stamp and other.arm is self.arm
+                and other.j == self.j)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<tick {self.j} of spin armed at t={self.arm.t0}>"
+
+
+def _cmp_seq(x: Any, y: Any, depth: int) -> int:
+    """Order of two sequence keys at one ``(time, priority)``: real
+    ``seq`` integers or :class:`_Stamp` s.  Returns -1, 0 or 1."""
+    xs, ys = x.__class__ is _Stamp, y.__class__ is _Stamp
+    if xs and ys:
+        return _cmp_moment(x.arm, x.j - 1, y.arm, y.j - 1, depth + 1)
+    if xs:
+        return 1 if x.arm.stamped_before(x.j - 1, y, depth) else -1
+    if ys:
+        return -1 if y.arm.stamped_before(y.j - 1, x, depth) else 1
+    return (x > y) - (x < y)
+
+
+def _cmp_moment(a: _Arm, i: int, b: _Arm, m: int, depth: int) -> int:
+    """Order of the pop of tick ``i`` of ``a`` and tick ``m`` of ``b`` (a
+    tick 0 is the pop its arm happened in)."""
+    if depth > _MAX_DEPTH:
+        raise SimulationError(
+            "watched spin: cannot decide the order of two same-instant "
+            "ticks from the pop log; refusing to guess")
+    if a is b:
+        return (i > m) - (i < m)
+    ta, tb = a.instant(i), b.instant(m)
+    if ta != tb:
+        return -1 if ta < tb else 1
+    if a.cls == b.cls and a.lkey != b.lkey:
+        return -1 if a.lkey < b.lkey else 1
+    ga, gb = a.gap(i, depth), b.gap(m, depth)
+    if ga != gb:
+        return -1 if ga < gb else 1
+    if i == 0 and m == 0:  # two arms: they happened in arming order
+        return -1 if a.ordinal < b.ordinal else 1
+    pa, pb = a.pos(i), b.pos(m)
+    if pa[0] != pb[0]:
+        return -1 if pa[0] < pb[0] else 1
+    c = _cmp_seq(pa[1], pb[1], depth + 1)
+    if c:
+        return c
+    return -1 if pa[2:] < pb[2:] else 1
 
 
 class _Condition(Event):
@@ -345,6 +662,17 @@ class Simulator:
         #: Events popped and fired so far -- the numerator of the
         #: events/sec metric :mod:`repro.bench` reports.
         self.events_processed: int = 0
+        #: Arms of watched spins (asleep, or with a check pending) by
+        #: lockstep class: arms with the same tick instants.  While any
+        #: exists, every pop is logged as ``(time, priority, seq,
+        #: counter)``, the counter being the scheduling counter just
+        #: before the pop.  The log keeps keys, never events, so it holds
+        #: no payloads alive.  Pops at or before ``_log_floor`` may be
+        #: missing.
+        self._classes: dict = {}
+        self._log: list = []
+        self._log_floor: int = 0
+        self._arms: int = 0
 
     # -------------------------------------------------------------- clock/api
     @property
@@ -420,30 +748,146 @@ class Simulator:
                    rng.getrandbits(16) if rng is not None else 0,
                    seq, ev))
 
-    def spin(self, probe: Callable[[], Optional[int]]) -> Optional[Event]:
+    def spin(self, probe: Callable[[], Optional[int]],
+             watch: Optional[SpinWatch] = None) -> Optional[Event]:
         """Spin-wait until ``probe()`` returns ``None``.
 
         ``probe`` runs once inline, now.  Any other return value is the
-        delay in ns until the next probe, which runs as a pooled
-        :meth:`call_later` tick at normal priority.  Returns ``None`` if the
-        first probe already succeeded (nothing is scheduled), otherwise
-        an event to wait on: the probe that succeeds processes it inline
+        delay in ns until the next probe.  Returns ``None`` if the first
+        probe already succeeded (nothing is scheduled), otherwise an
+        event to wait on: the probe that succeeds processes it inline
         within its own pop.
 
-        Exactly the pop sequence of the hand-written loop
-        ``while (d := probe()) is not None: yield sim.timeout(d)``: one
-        event -- one ``seq`` bump, one tiebreak draw -- per failed probe,
-        with the delay and priority that loop's Timeout would have.  A
-        tick that finds nobody waiting -- the waiter was interrupted or
-        killed -- probes nothing and schedules nothing, like an orphaned
-        Timeout (see DESIGN.md §10, "spin waits").
+        Without ``watch`` (the *ticking* form) each later probe runs as a
+        pooled :meth:`call_later` tick at normal priority: exactly the pop
+        sequence of the hand-written loop ``while (d := probe()) is not
+        None: yield sim.timeout(d)``, one event -- one ``seq`` bump, one
+        tiebreak draw -- per failed probe.  A tick that finds nobody
+        waiting -- the waiter was interrupted or killed -- probes nothing
+        and schedules nothing, like an orphaned Timeout.
+
+        With a :class:`SpinWatch` (the *watched* form) the waiter sleeps
+        with no heap entry until ``watch.subscribe`` wakes it, then pops
+        once, at the first tick that would have seen the change and under
+        that tick's heap key; ``watch.skip`` charges the probes it did
+        not run.  Results are those of the ticking form; only the failed
+        ticks' pops are gone.  Seeded tie-breaks, an attached step probe,
+        or a ``watch.subscribe`` that refuses (the probe logged a hazard)
+        keep the ticking form (see DESIGN.md §10, "spin waits").
         """
         delay = probe()
         if delay is None:
             return None
-        spinning = _Spin(self, probe)
-        self.call_later(delay, spinning._tick)
+        spinning = _Spin(self, probe, watch)
+        if watch is None:
+            self.call_later(delay, spinning._tick)
+        else:
+            spinning._sleep(delay)
         return spinning
+
+    # ------------------------------------------------ watched-spin support
+    def _arm_spin(self, prev: Optional[_Arm], watch: SpinWatch) -> _Arm:
+        classes = self._classes
+        if not classes:
+            self._log_floor = self._now
+        self._arms += 1
+        arm = _Arm(self, watch, self._arms)
+        if prev is not None:
+            if prev.cls == arm.cls:
+                # Re-armed inside its own check, which popped at the
+                # tick's place: the lockstep order is unchanged.
+                members = classes[prev.cls]
+                arm.lkey = prev.lkey
+                members[members.index(prev)] = arm
+                return arm
+            self._disarm_spin(prev)
+        members = classes.get(arm.cls)
+        if members is None:
+            classes[arm.cls] = [arm]
+            return arm
+        lo = hi = None
+        for other in members:
+            if other.t0 == self._now:
+                ahead = True  # armed earlier in this very instant
+            else:
+                j = other.first(self._now)
+                ahead = other.pending != j and self._tick_popped(other, j)
+            if ahead:
+                lo = other.lkey if lo is None else max(lo, other.lkey)
+            else:
+                hi = other.lkey if hi is None else min(hi, other.lkey)
+        if lo is not None and hi is not None:
+            if not lo < hi:
+                raise SimulationError("watched spin: inconsistent lockstep order")
+            arm.lkey = (lo + hi) / 2
+        elif lo is not None:
+            arm.lkey = lo + 1.0
+        elif hi is not None:
+            arm.lkey = hi - 1.0
+        members.append(arm)
+        return arm
+
+    def _disarm_spin(self, arm: _Arm) -> None:
+        classes = self._classes
+        members = classes[arm.cls]
+        if len(members) > 1:
+            members.remove(arm)
+            return
+        del classes[arm.cls]
+        if not classes:
+            self._log.clear()
+
+    def _current_pop(self) -> tuple:
+        """``(time, priority, seq, counter)`` of the pop in progress: the
+        last one logged.  After run() the log ends with a sentinel that
+        sorts after every pop at ``now``; before any pop, one sorts
+        before them.  A pop that began with no spin asleep is not logged;
+        an arm made in it is compared only with other arms, by arming
+        order, so its key is never read."""
+        return self._log[-1] if self._log else (0, _BEFORE_RUN, 0, 0)
+
+    def _tick_popped(self, arm: _Arm, j: int) -> bool:
+        """Whether tick ``j`` of ``arm`` (due now) would already have
+        popped, i.e. sorts before the pop in progress."""
+        _, prio, seq, _ = self._current_pop()
+        if prio != PRIORITY_NORMAL:
+            return prio > PRIORITY_NORMAL
+        return _cmp_seq(seq, _Stamp(arm, j), 0) > 0
+
+    def _log_span(self, t: int) -> Tuple[int, int]:
+        """Log indices ``[lo, hi)`` of the pops at time ``t``."""
+        if t <= self._log_floor:
+            raise SimulationError(
+                f"watched spin: pops at t={t} are no longer logged; "
+                "refusing to guess a tick's place")
+        return (bisect_left(self._log, t, key=_log_time),
+                bisect_right(self._log, t, key=_log_time))
+
+    def _counter_before(self, idx: int) -> int:
+        log = self._log
+        return log[idx][3] if idx < len(log) else self._seq
+
+    def _counter_at_tick(self, arm: _Arm, j: int, depth: int) -> int:
+        """The scheduling counter at the moment tick ``j`` of ``arm``
+        would have popped: it pops just before the first logged pop at
+        its instant that sorts after it."""
+        lo, hi = self._log_span(arm.instant(j))
+        log = self._log
+        stamp = _Stamp(arm, j)
+        idx = hi
+        for k in range(lo, hi):
+            _, prio, seq, _ = log[k]
+            if prio > PRIORITY_NORMAL or (
+                    prio == PRIORITY_NORMAL
+                    and _cmp_seq(seq, stamp, depth + 1) > 0):
+                idx = k
+                break
+        return self._counter_before(idx)
+
+    def _trim_log(self) -> None:
+        cut = len(self._log) // 2
+        self._log_floor = self._log[cut - 1][0]
+        del self._log[:cut]
 
     # ------------------------------------------------------- validation hooks
     def add_step_probe(self, probe: Callable[[int, int, int, int, Event], None]) -> None:
@@ -487,10 +931,17 @@ class Simulator:
             raise SimulationError("event heap time went backwards")
         self._now = t
         self.events_processed += 1
+        if self._classes:
+            self._log_pop(t, prio, seq)
         if self._step_probes:
             for probe in self._step_probes:
                 probe(t, prio, tie, seq, event)
         event._run_callbacks()
+
+    def _log_pop(self, t: int, prio: int, seq: Any) -> None:
+        self._log.append((t, prio, seq, self._seq))
+        if len(self._log) > _LOG_MAX:
+            self._trim_log()
 
     def run(self, until: Optional[int] = None) -> int:
         """Run until the heap drains or the clock passes ``until``.
@@ -513,8 +964,13 @@ class Simulator:
         pool = self._pool
         # Bind the probe *list* (not a snapshot): add_step_probe appends in
         # place, so probes attached mid-run are still honored while the
-        # no-probe case costs one truthiness test per event.
+        # no-probe case costs one truthiness test per event.  The sleeper
+        # set is bound the same way: while a watched spin sleeps, each pop
+        # is logged.
         probes = self._step_probes
+        sleeping = self._classes
+        log = self._log
+        log_pop = log.append
         # Fire-and-forget callback events (the common case under the
         # hardware models) are dispatched inline: recycling them through
         # the freelist here instead of via Event._run_callbacks saves a
@@ -526,6 +982,10 @@ class Simulator:
                     t, prio, tie, seq, event = pop(heap)
                     self._now = t
                     processed += 1
+                    if sleeping:
+                        log_pop((t, prio, seq, self._seq))
+                        if len(log) > _LOG_MAX:
+                            self._trim_log()
                     if probes:
                         for probe in probes:
                             probe(t, prio, tie, seq, event)
@@ -551,6 +1011,10 @@ class Simulator:
                         t, prio, tie, seq, event = pop(heap)
                         self._now = t
                         processed += 1
+                        if sleeping:
+                            log_pop((t, prio, seq, self._seq))
+                            if len(log) > _LOG_MAX:
+                                self._trim_log()
                         if probes:
                             for probe in probes:
                                 probe(t, prio, tie, seq, event)
@@ -570,6 +1034,9 @@ class Simulator:
         finally:
             self._running = False
             self.events_processed += processed
+            # Whatever runs between runs sorts after every pop so far.
+            if self._classes:
+                self._log_pop(self._now, _AFTER_RUN, 0)
         return self._now
 
     def run_until_event(self, event: Event, limit: Optional[int] = None) -> Any:

@@ -460,3 +460,304 @@ class TestSpin:
         proc = cluster.spawn(receiver())
         with pytest.raises(RuntimeError, match="gone"):
             cluster.sim.run_until_event(proc)
+
+
+# -------------------------------------------------------- watched spin waits
+# Untraced and without step probes, the three waits sleep until their
+# flag is written (or their receive triggered) instead of ticking.  The
+# Timeout loops above stay the oracle: every outcome below -- resume
+# instant, value, busy_ns, hazards, and where the resume falls among
+# same-instant events -- must match them, with fewer pops.
+
+class _Scene:
+    """An untraced cluster whose processes log ``(label, now)`` in pop
+    order, so a resume popped at the wrong place in its instant shows."""
+
+    def __init__(self, n_nodes=1):
+        self.cluster = Cluster(n_nodes=n_nodes, trace=False)
+        self.sim = self.cluster.sim
+        self.host = self.cluster[0].host
+        self.log = []
+
+    def noise(self, period, count=30, label="noise"):
+        """A bystander whose timeouts tie with the poll instants."""
+        def proc():
+            for _ in range(count):
+                yield self.sim.timeout(period)
+                self.log.append((label, self.sim.now))
+        self.cluster.spawn(proc())
+
+    def at(self, hops, action, label="write"):
+        """Run ``action()`` at ``hops[-1]``, reached through one timeout
+        per hop: the action's event is scheduled at ``hops[-2]`` (or
+        when this process boots, for a single hop)."""
+        def proc():
+            for when in hops:
+                yield self.sim.timeout(when - self.sim.now)
+            action()
+            self.log.append((label, self.sim.now))
+        self.cluster.spawn(proc())
+
+    def waiter(self, wait, label="waiter"):
+        """Run ``wait`` (a generator), then log a resume and two
+        follow-up timeouts that tie with the bystanders."""
+        def proc():
+            try:
+                value = yield from wait
+            except RuntimeError as exc:  # a failed receive
+                value = repr(exc)
+            self.log.append((label, self.sim.now, value))
+            for _ in range(2):
+                yield self.sim.timeout(50)
+                self.log.append((label + "-after", self.sim.now))
+            return value
+        return self.cluster.spawn(proc())
+
+    def outcome(self):
+        return {"log": self.log, "now": self.sim.now,
+                "busy_ns": self.host.stats["busy_ns"],
+                "hazards": self.cluster.total_hazards()}
+
+
+def _cpu_set(scene, flag, value):
+    return lambda: scene.host.cpu_write(flag, np.array([value], dtype=np.uint32))
+
+
+def _host_scene(kind, writes, at_least=1, writer_first=False, stop=None):
+    """CPU poller from t=0 (period 50) and writers ``{value: hops}``."""
+    scene = _Scene()
+    flag = scene.host.alloc(4)
+    scene.noise(50)
+    scene.noise(25, label="fast")
+
+    def writers():
+        for value, hops in writes:
+            scene.at(hops, _cpu_set(scene, flag, value))
+
+    if writer_first:
+        writers()
+    proc = scene.waiter(_HOST_POLL[kind](scene.host, flag, at_least))
+    if not writer_first:
+        writers()
+    if stop is not None:
+        when, how = stop
+        scene.sim.call_later(when, proc.interrupt if how == "interrupt"
+                             else proc.kill)
+    scene.sim.run()
+    return scene.outcome(), scene.sim.events_processed
+
+
+# (writes as (value, hops), writer spawned before the waiter?)
+_HOST_CASES = {
+    "between-polls": ([(1, [120])], False),
+    "on-poll-sched-before-prev": ([(1, [10, 150])], False),
+    "on-poll-sched-after-prev": ([(1, [120, 150])], False),
+    "one-period-ahead": ([(1, [100, 150])], False),
+    "chain-from-before-arm": ([(1, [50, 100, 150])], True),
+    "chain-from-after-arm": ([(1, [50, 100, 150])], False),
+    "at-t0-after-first-probe": ([(1, [0])], False),
+    "two-writes-one-period": ([(1, [110]), (2, [130])], False),
+}
+
+
+class TestWatchedSpin:
+    """The watched form of Host.poll_flag, Host.wait_recv and
+    KernelContext.poll_flag against the Timeout loops."""
+
+    @pytest.mark.parametrize("case", sorted(_HOST_CASES))
+    def test_host_poll_flag(self, case):
+        writes, first = _HOST_CASES[case]
+        watched, pops = _host_scene("spin", writes, writer_first=first)
+        oracle, loop_pops = _host_scene("legacy", writes, writer_first=first)
+        assert watched == oracle
+        # The check replaces the tick that sees the write; every failed
+        # tick before it is gone (at t0 there are none).
+        assert pops < loop_pops or case == "at-t0-after-first-probe"
+
+    def test_tie_rule_reaches_both_outcomes(self):
+        # A write on a poll instant is seen by that poll iff the writer
+        # was scheduled before the previous poll popped.
+        def resumed(writes, first=False):
+            outcome, _ = _host_scene("spin", writes, writer_first=first)
+            return [e[1] for e in outcome["log"] if e[0] == "waiter"]
+
+        assert resumed([(1, [10, 150])]) == [150]
+        assert resumed([(1, [120, 150])]) == [200]
+        assert resumed([(1, [50, 100, 150])], first=True) == [150]
+        assert resumed([(1, [50, 100, 150])], first=False) == [200]
+
+    @pytest.mark.parametrize("until", [150, 160])
+    def test_write_between_runs(self, until):
+        # Outside run() a write sorts after every pop so far: a poll due
+        # at the stop instant has already missed it.
+        def scene_of(kind):
+            scene = _Scene()
+            flag = scene.host.alloc(4)
+            scene.noise(50)
+            scene.waiter(_HOST_POLL[kind](scene.host, flag, 1))
+            scene.sim.run(until=until)
+            _cpu_set(scene, flag, 1)()
+            scene.sim.run()
+            return scene.outcome()
+
+        assert scene_of("spin") == scene_of("legacy")
+        assert ("waiter", 200, 1) in scene_of("spin")["log"]
+
+    def test_counting_flag_first_write_short(self):
+        writes = [(1, [120]), (2, [330])]
+        watched, pops = _host_scene("spin", writes, at_least=2)
+        oracle, loop_pops = _host_scene("legacy", writes, at_least=2)
+        assert watched == oracle and pops < loop_pops
+        assert ("waiter", 350, 2) in watched["log"]
+
+    def test_lockstep_pollers_keep_tick_order(self):
+        # Pollers with the same poll instants wake at one instant; their
+        # checks must pop in the order their ticks would have.
+        def scene_of(kind):
+            scene = _Scene()
+            flag = scene.host.alloc(4)
+            scene.noise(50)
+
+            def poller(name, start_hops, at_least):
+                def proc():
+                    for when in start_hops:
+                        yield scene.sim.timeout(when - scene.sim.now)
+                    value = yield from _HOST_POLL[kind](scene.host, flag,
+                                                        at_least)
+                    scene.log.append((name, scene.sim.now, value))
+                    yield scene.sim.timeout(50)
+                    scene.log.append((name + "-after", scene.sim.now))
+                scene.cluster.spawn(proc())
+
+            poller("a", [], 2)           # arms at 0
+            poller("c", [], 1)           # arms at 0, after a
+            poller("b", [100], 1)        # arms at 100, queued at 0
+            poller("d", [75, 100], 1)    # arms at 100, queued at 75
+            poller("e", [10], 1)         # other instants: 60, 110, ...
+            scene.at([230], _cpu_set(scene, flag, 1))
+            scene.at([200, 330], _cpu_set(scene, flag, 2))
+            scene.sim.run()
+            return scene.outcome(), scene.sim.events_processed
+
+        watched, pops = scene_of("spin")
+        oracle, loop_pops = scene_of("legacy")
+        assert watched == oracle and pops < loop_pops
+        woke = [e[0] for e in watched["log"] if e[1] == 250 and len(e) == 3]
+        assert woke == ["b", "c", "d"]
+
+    @pytest.mark.parametrize("how", ["interrupt", "kill"])
+    def test_stop_while_asleep(self, how):
+        writes = [(1, [400])]
+        watched, _ = _host_scene("spin", writes, stop=(175, how))
+        oracle, _ = _host_scene("legacy", writes, stop=(175, how))
+        assert watched == oracle
+
+    @pytest.mark.parametrize("how", ["interrupt", "kill"])
+    def test_later_write_schedules_nothing(self, how):
+        scene = _Scene()
+        flag = scene.host.alloc(4)
+        proc = scene.cluster.spawn(_HOST_POLL["spin"](scene.host, flag, 1))
+        scene.sim.run(until=120)
+        assert scene.sim.peek() is None  # asleep: no tick pending
+        proc.interrupt() if how == "interrupt" else proc.kill()
+        scene.sim.run()
+        queued = scene.sim._seq
+        _cpu_set(scene, flag, 1)()
+        assert scene.sim.peek() is None and scene.sim._seq == queued
+        assert not scene.sim._classes
+
+    def test_hazardous_probe_keeps_ticking(self):
+        def scene_of(kind):
+            scene = _Scene()
+            flag = scene.host.alloc(4)
+            gpu_mem = scene.cluster[0].mem
+            # An unpublished GPU store: every CPU load of it is a hazard.
+            gpu_mem.record_write(0, Agent.GPU, flag)
+            scene.at([260], _cpu_set(scene, flag, 1))
+            scene.waiter(_HOST_POLL[kind](scene.host, flag, 1))
+            scene.sim.run()
+            return scene.outcome(), scene.sim.events_processed
+
+        watched, pops = scene_of("spin")
+        oracle, loop_pops = scene_of("legacy")
+        assert watched == oracle and pops == loop_pops
+        assert watched["hazards"] == 300 // 50 + 1  # one per probe
+
+    @pytest.mark.parametrize("hops,outcome", [
+        ([300], (450, 400)),          # inside a round
+        ([100, 250], (250, 200)),     # on a round start, queued before it
+        ([220, 250], (450, 400)),     # on a round start, queued after it
+        ([200], (250, 200)),          # on a round end, queued after it
+    ])
+    def test_wait_recv(self, hops, outcome):
+        def scene_of(kind, fail=False):
+            scene = _Scene()
+            handle = scene.host.post_recv(3, scene.host.alloc(64), 64)
+            done = (lambda: handle.complete.fail(RuntimeError("gone"))) if fail \
+                else (lambda: handle.complete.succeed("msg"))
+            scene.noise(50)
+            scene.waiter(_WAIT_RECV[kind](scene.host, handle))
+            scene.at(hops, done)
+            scene.sim.run()
+            return scene.outcome(), scene.sim.events_processed
+
+        for fail in (False, True):
+            watched, pops = scene_of("spin", fail)
+            oracle, loop_pops = scene_of("legacy", fail)
+            assert watched == oracle and pops < loop_pops
+            resumed = [e for e in watched["log"] if e[0] == "waiter"]
+            assert (resumed[0][1], watched["busy_ns"]) == outcome
+            assert ("gone" in resumed[0][2]) == fail
+
+    def test_wait_recv_already_complete(self):
+        def scene_of(kind):
+            scene = _Scene()
+            handle = scene.host.post_recv(3, scene.host.alloc(64), 64)
+            handle.complete.succeed("msg")
+            scene.waiter(_WAIT_RECV[kind](scene.host, handle))
+            scene.sim.run()
+            return scene.outcome()
+
+        assert scene_of("spin") == scene_of("legacy")
+        assert scene_of("spin")["busy_ns"] == 0
+
+    @pytest.mark.parametrize("case", ["between", "on-poll-before",
+                                      "on-poll-after", "chain", "counting"])
+    def test_gpu_poll_flag(self, case):
+        def scene_of(kind):
+            scene = _Scene()
+            node = scene.cluster[0]
+            flag = node.host.alloc(4)
+            scene.noise(100, count=60)
+            plans = {"between": ([(1, [130])], 1),
+                     "on-poll-before": ([(1, [10, 300])], 1),
+                     "on-poll-after": ([(1, [250, 300])], 1),
+                     "chain": ([(1, [100, 200, 300])], 1),
+                     "counting": ([(1, [150]), (2, [420])], 2)}
+            writes, at_least = plans[case]
+
+            def nic_set(value):
+                def write():
+                    flag.view(np.uint32)[0] = value
+                    node.mem.record_write(scene.sim.now, Agent.NIC, flag)
+                return write
+
+            def kernel(ctx):
+                # Writers count from the kernel's first probe (t0).
+                t0 = ctx.sim.now
+                for value, hops in writes:
+                    scene.at([t0 + h for h in hops], nic_set(value))
+                seen = yield from _GPU_POLL[kind](ctx, flag, at_least)
+                scene.log.append(("kernel", ctx.sim.now - t0, seen))
+                yield ctx.compute(100)
+                scene.log.append(("kernel-after", ctx.sim.now - t0))
+
+            node.gpu.launch(KernelDescriptor(fn=kernel, n_workgroups=2,
+                                             name="poller"))
+            scene.sim.run()
+            return scene.outcome(), scene.sim.events_processed
+
+        watched, pops = scene_of("spin")
+        oracle, loop_pops = scene_of("legacy")
+        assert watched == oracle and pops < loop_pops
+        assert watched["hazards"] == 0
