@@ -46,12 +46,14 @@ class TriggeredOp:
     #: host-visible completion flag word (local completion, §4.2.4)
     local_flag: Optional[Tuple[Buffer, int]] = None
     meta: Dict[str, Any] = field(default_factory=dict)
+    #: the NIC's handle for the put, set at registration
+    _handle: Optional[PutHandle] = field(default=None, repr=False)
 
     @property
     def handle(self) -> PutHandle:
-        if self.entry is None or self.entry.op is None:
+        if self._handle is None:
             raise RuntimeError(f"triggered op tag={self.tag} not yet registered")
-        return self.entry.op.meta["handle"]
+        return self._handle
 
     @property
     def fired(self) -> bool:
@@ -115,6 +117,7 @@ class GpuTnEndpoint:
             remote_addr=remote_addr, wire_tag=wire_tag, offset=offset,
             local_flag=flag,
         )
+        op._handle = self.nic.handle_for(op.entry)
         return op
 
     def register_dynamic(self, buf: Buffer, nbytes: int,
@@ -133,6 +136,7 @@ class GpuTnEndpoint:
             target=default_target or self.node.name + "-unset",
             remote_addr=default_remote_addr, wire_tag=wire_tag,
         )
+        op._handle = self.nic.handle_for(op.entry)
         return op
 
     # -------------------------------------------------------------- step 4

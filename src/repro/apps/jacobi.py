@@ -275,7 +275,7 @@ def _hdn_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node], iters: int)
 
         desc = KernelDescriptor(fn=kernel, n_workgroups=_grid_workgroups(node),
                                 args={"tile": tile, "parity": parity},
-                                name=f"jacobi-hdn-{it}")
+                                name=f"jacobi-hdn-{it}", uniform=True)
         inst = yield from host.launch_kernel(desc)
         # A hand-tuned stencil loop spin-waits on kernel completion (the
         # blocking 10 us sync path belongs to library-mediated waits; see
@@ -325,7 +325,7 @@ def _gds_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node], iters: int)
 
         desc = KernelDescriptor(fn=kernel, n_workgroups=_grid_workgroups(node),
                                 args={"tile": tile, "parity": parity},
-                                name=f"jacobi-gds-{it}")
+                                name=f"jacobi-gds-{it}", uniform=True)
         inst = yield from host.launch_kernel(desc)
         for h in staged:
             node.gpu.enqueue_doorbell(h)

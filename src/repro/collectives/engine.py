@@ -281,7 +281,7 @@ def _hdn_zoo(state: _ZooRank, peers: Dict[int, Node]):
         if is_reduce:
             desc = KernelDescriptor(
                 fn=_zoo_reduce_kernel(state, rnd, f"zoo-hdn-{rnd}"),
-                n_workgroups=n_wg, name=f"zoo-hdn-{rnd}")
+                n_workgroups=n_wg, name=f"zoo-hdn-{rnd}", uniform=True)
             inst = yield from host.launch_kernel(desc)
             # Later rounds may forward what this kernel just reduced.
             yield from host.wait_kernel(inst, mode="blocking")
@@ -329,7 +329,7 @@ def _gds_zoo(state: _ZooRank, peers: Dict[int, Node]):
         if is_reduce:
             desc = KernelDescriptor(
                 fn=_zoo_reduce_kernel(state, rnd, f"zoo-gds-{rnd}"),
-                n_workgroups=n_wg, name=f"zoo-gds-{rnd}")
+                n_workgroups=n_wg, name=f"zoo-gds-{rnd}", uniform=True)
             prev_kernel = yield from host.launch_kernel(desc)
         else:
             prev_kernel = None

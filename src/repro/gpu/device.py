@@ -9,6 +9,14 @@ polling work-groups deadlock).
 The front end consumes one :class:`~repro.gpu.queue.CommandQueue` in
 order: kernels pay launch latency, execute all work-groups, pay teardown;
 doorbell commands ring the NIC at the kernel boundary (the GDS model).
+
+A kernel declared ``uniform`` (:class:`~repro.gpu.kernel.KernelDescriptor`)
+runs as one *gang* process when tie-breaks are unseeded and its whole
+grid fits on the free CUs: work-group 0's pops, with all ``n`` CUs held,
+``n`` start/end probes and ``n`` counted work-groups.  The other
+work-groups' pops would only repeat work-group 0's at the same instants,
+so every kept event pops in the same order and records are
+byte-identical to the per-work-group path (DESIGN.md §5).
 """
 
 from __future__ import annotations
@@ -42,7 +50,13 @@ class KernelInstance:
 
 
 class Gpu:
-    """One GPU device on a node."""
+    """One GPU device on a node.
+
+    Each work-group is a process holding one CU; a uniform kernel whose
+    grid fits runs as a single gang process instead (see the module
+    docstring).  ``stats["workgroups"]`` and the ``wg-start``/``wg-end``
+    probes count every work-group either way.
+    """
 
     def __init__(self, sim: Simulator, node: str, config: SystemConfig,
                  space, mem, nic, tracer: Optional[Tracer] = None,
@@ -138,11 +152,16 @@ class Gpu:
 
         self.tracer.begin(self.sim.now, self.node, "gpu", "kernel-exec",
                           kernel=desc.name)
-        workgroups: List[Event] = [
-            self.sim.spawn(self._workgroup(desc, wg_id),
-                           name=f"{desc.name}.wg{wg_id}")
-            for wg_id in range(desc.n_workgroups)
-        ]
+        if self._gangs(desc):
+            workgroups: List[Event] = [self.sim.spawn(
+                self._workgroup(desc, 0, desc.n_workgroups),
+                name=f"{desc.name}.wg0")]
+        else:
+            workgroups = [
+                self.sim.spawn(self._workgroup(desc, wg_id),
+                               name=f"{desc.name}.wg{wg_id}")
+                for wg_id in range(desc.n_workgroups)
+            ]
         joined = AllOf(self.sim, workgroups)
         joined.callbacks.append(partial(self._fe_executed, cmd, depth))
 
@@ -179,19 +198,33 @@ class Gpu:
         cmd.finished.succeed(self.sim.now)
         self._fe_wait()
 
-    def _workgroup(self, desc: KernelDescriptor, wg_id: int):
-        yield self.cus.acquire()
+    def _gangs(self, desc: KernelDescriptor) -> bool:
+        """Whether ``desc`` runs as one gang process (DESIGN.md §5): it is
+        declared uniform, tie-breaks are unseeded, and every work-group
+        gets a CU at once."""
+        return (desc.uniform and not self.sim.tiebreaks_seeded
+                and desc.n_workgroups <= self.cus.available)
+
+    def _workgroup(self, desc: KernelDescriptor, wg_id: int, gang: int = 1):
+        """Work-group ``wg_id``'s process.  With ``gang=n`` it also stands
+        for work-groups ``wg_id+1 .. wg_id+n-1`` of a uniform kernel: it
+        holds their CUs, emits their probes and counts them, and its pops
+        are exactly the ones ``wg_id`` would make on its own."""
+        cus = self.cus
+        yield cus.acquire(gang)
         if self.probes:
-            self._emit("wg-start", kernel=desc.name, wg=wg_id,
-                       in_use=self.cus.in_use, capacity=self.cus.capacity)
+            for wg in range(wg_id, wg_id + gang):
+                self._emit("wg-start", kernel=desc.name, wg=wg,
+                           in_use=cus.in_use, capacity=cus.capacity)
         try:
             ctx = KernelContext(self.sim, self, desc, wg_id)
             gen = desc.fn(ctx)
             if gen is not None and hasattr(gen, "send"):
                 yield from gen
-            self.stats["workgroups"] += 1
+            self.stats["workgroups"] += gang
         finally:
-            self.cus.release()
-            if self.probes:
-                self._emit("wg-end", kernel=desc.name, wg=wg_id,
-                           in_use=self.cus.in_use, capacity=self.cus.capacity)
+            for wg in range(wg_id, wg_id + gang):
+                cus.release()
+                if self.probes:
+                    self._emit("wg-end", kernel=desc.name, wg=wg,
+                               in_use=cus.in_use, capacity=cus.capacity)

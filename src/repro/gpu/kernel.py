@@ -49,7 +49,17 @@ KernelFn = Callable[["KernelContext"], Generator[Event, Any, Any]]
 
 @dataclass
 class KernelDescriptor:
-    """Dispatch parameters for one kernel (an AQL packet, roughly)."""
+    """Dispatch parameters for one kernel (an AQL packet, roughly).
+
+    ``uniform`` declares that every work-group runs the same timed
+    sequence -- the same fences, compute and barriers, in the same order
+    and with the same delays -- and that work-groups other than 0 differ
+    only in zero-time data work, which work-group 0 does for all of
+    them.  The GPU may then run the whole grid as one gang process
+    (:class:`~repro.gpu.device.Gpu`, DESIGN.md §5).  It is a property
+    of the program, not a tuning knob: a kernel whose work-groups poll,
+    trigger or address data by ``ctx.wg_id`` is not uniform.
+    """
 
     fn: KernelFn
     n_workgroups: int
@@ -57,6 +67,7 @@ class KernelDescriptor:
     args: Dict[str, Any] = field(default_factory=dict)
     name: str = ""
     kernel_id: int = field(default_factory=lambda: next(_kernel_ids))
+    uniform: bool = False
 
     def __post_init__(self) -> None:
         if self.n_workgroups <= 0:

@@ -94,7 +94,15 @@ class Nic:
 
         # Trigger machinery.
         lookup = make_lookup(self.nc.trigger_lookup, capacity=self.nc.max_trigger_entries)
-        self.trigger_list = TriggerList(lookup, on_fire=self._on_trigger_fire)
+        self.trigger_list = TriggerList(lookup, on_fire=self._on_trigger_fire,
+                                        on_free=self._on_trigger_free)
+        # Handles of registered triggered operations by op id: a
+        # PutHandle, a GetHandle, or a fan-out's list of PutHandles.
+        # Dropped when the entry is freed.  Kept here rather than in the
+        # op's meta, where handle -> op -> meta -> handle was a reference
+        # cycle that pinned each put's delivered message and payload
+        # until a full garbage collection.
+        self._trigger_handles: Dict[int, Any] = {}
         self._trigger_fifo: Store = Store(sim, capacity=self.nc.trigger_fifo_depth,
                                           name=f"{node}.trigfifo")
         self._trigger_addr = 0xF000_0000 + hash(node) % 0x1000 * _TRIGGER_WINDOW_BYTES
@@ -357,14 +365,14 @@ class Nic:
         op = NetworkOp(kind="get", local_addr=local_addr, nbytes=nbytes,
                        target=target, remote_addr=remote_addr)
         handle = GetHandle(op=op, complete=self.sim.event(f"tget:{op.op_id}"))
-        op.meta["get_handle"] = handle
+        self._trigger_handles[op.op_id] = handle
         self._pending_gets[op.op_id] = handle
         return self.trigger_list.register(op, tag, threshold)
 
     def get_handle_for(self, entry: TriggerEntry) -> GetHandle:
         if entry.op is None or entry.op.kind != "get":
             raise ValueError(f"trigger entry tag={entry.tag} is not a get")
-        return entry.op.meta["get_handle"]
+        return self._registered(entry)
 
     # ------------------------------------------------ CPU command: recv side
     def post_recv(self, tag: int, local_addr: int, nbytes: int) -> RecvHandle:
@@ -417,7 +425,7 @@ class Nic:
         handle = PutHandle(op=op, local=self.sim.event(f"local:{op.op_id}"),
                            delivered=self.sim.event(f"delivered:{op.op_id}"),
                            local_flag=local_flag)
-        op.meta["handle"] = handle
+        self._trigger_handles[op.op_id] = handle
         return self.trigger_list.register(op, tag, threshold)
 
     def register_triggered_fanout(self, tag: int, threshold: int,
@@ -430,31 +438,44 @@ class Nic:
         if not puts:
             raise ValueError("fanout needs at least one operation")
         handles: List[PutHandle] = []
-        ops: List[NetworkOp] = []
         for spec in puts:
             op = NetworkOp(kind="put", local_addr=spec["local_addr"],
                            nbytes=spec["nbytes"], target=spec["target"],
                            remote_addr=spec["remote_addr"],
                            wire_tag=spec.get("wire_tag"))
-            handle = PutHandle(op=op, local=self.sim.event(f"local:{op.op_id}"),
-                               delivered=self.sim.event(f"delivered:{op.op_id}"))
-            op.meta["handle"] = handle
-            ops.append(op)
-            handles.append(handle)
-        master = ops[0]
-        master.meta["fanout_handles"] = handles
+            handles.append(PutHandle(
+                op=op, local=self.sim.event(f"local:{op.op_id}"),
+                delivered=self.sim.event(f"delivered:{op.op_id}")))
+        master = handles[0].op
+        self._trigger_handles[master.op_id] = handles
         return self.trigger_list.register(master, tag, threshold)
 
     def fanout_handles(self, entry: TriggerEntry) -> List[PutHandle]:
-        if entry.op is None or "fanout_handles" not in entry.op.meta:
+        handles = self._registered(entry)
+        if not isinstance(handles, list):
             raise ValueError(f"trigger entry tag={entry.tag} is not a fanout")
-        return entry.op.meta["fanout_handles"]
+        return handles
 
     def handle_for(self, entry: TriggerEntry) -> PutHandle:
-        """The PutHandle carried by a registered trigger entry."""
+        """The PutHandle of a registered triggered put (a fan-out's
+        first), until the entry is freed."""
+        handle = self._registered(entry)
+        if isinstance(handle, list):
+            return handle[0]
+        if not isinstance(handle, PutHandle):
+            raise ValueError(f"trigger entry tag={entry.tag} is not a put")
+        return handle
+
+    def _registered(self, entry: TriggerEntry) -> Any:
         if entry.op is None:
             raise ValueError(f"trigger entry tag={entry.tag} is an unarmed placeholder")
-        return entry.op.meta["handle"]
+        if entry.freed:
+            raise ValueError(f"trigger entry tag={entry.tag} was freed; its "
+                             "handle went with it")
+        return self._trigger_handles[entry.op.op_id]
+
+    def _on_trigger_free(self, entry: TriggerEntry) -> None:
+        self._trigger_handles.pop(entry.op.op_id, None)
 
     def _on_trigger_fire(self, entry: TriggerEntry) -> None:
         op = entry.op
@@ -469,11 +490,9 @@ class Nic:
                               tag=entry.tag, op=op.op_id)
         if op.kind == "get":
             self.sim.call_later(self.nc.command_process_ns, self._issue_get, op)
-        elif "fanout_handles" in op.meta:
-            for handle in op.meta["fanout_handles"]:
-                self._initiate(handle, extra_delay=0)
-        else:
-            handle: PutHandle = op.meta["handle"]
+            return
+        handles = self._trigger_handles[op.op_id]
+        for handle in handles if isinstance(handles, list) else (handles,):
             self._initiate(handle, extra_delay=0)
 
     # ------------------------------------------------------------ data path
@@ -507,7 +526,6 @@ class Nic:
         msg = Message(src=self.node, dst=op.target, nbytes=op.nbytes, kind=kind,
                       payload=payload, remote_addr=op.remote_addr,
                       tag=op.wire_tag, meta=dict(op.meta))
-        msg.meta.pop("handle", None)
         if self.tracer.enabled:
             self.tracer.begin(self.sim.now, self.node, "nic", "put", op=op.op_id)
 

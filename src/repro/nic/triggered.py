@@ -85,11 +85,14 @@ class TriggerEntry:
 class TriggerList:
     """The NIC's list of registered/placeholder trigger entries."""
 
-    def __init__(self, lookup, on_fire: Callable[[TriggerEntry], None]):
+    def __init__(self, lookup, on_fire: Callable[[TriggerEntry], None],
+                 on_free: Optional[Callable[[TriggerEntry], None]] = None):
         """``lookup`` is a :mod:`repro.nic.lookup` structure; ``on_fire``
-        is invoked exactly once per entry when it becomes ready."""
+        is invoked exactly once per entry when it becomes ready, and
+        ``on_free`` (if given) when :meth:`free` removes it."""
         self.lookup = lookup
         self.on_fire = on_fire
+        self.on_free = on_free
         #: Fired-but-not-yet-freed entries, oldest first.  ``free`` purges
         #: its entry (lazily compacted), so persistent-kernel runs that
         #: register/fire/free in a loop keep this bounded by the number of
@@ -187,6 +190,8 @@ class TriggerList:
         if self._freed_in_log * 2 >= len(self.fired_log):
             self.fired_log = [e for e in self.fired_log if not e.freed]
             self._freed_in_log = 0
+        if self.on_free is not None:
+            self.on_free(entry)
         self._notify("free", entry)
 
     # --------------------------------------------------------------- query

@@ -898,6 +898,14 @@ class Simulator:
         O(1) and may raise to abort the run (fail-fast validation)."""
         self._step_probes.append(probe)
 
+    @property
+    def tiebreaks_seeded(self) -> bool:
+        """True once :meth:`seed_tiebreaks` has armed schedule fuzzing.
+        Fast paths that drop events (watched spins, gang work-groups)
+        keep the reference path while it is: a dropped event's
+        tie-break draw would shift every later one."""
+        return self._tiebreak_rng is not None
+
     def seed_tiebreaks(self, seed: int) -> None:
         """Arm schedule fuzzing: subsequently scheduled events draw a
         deterministic pseudo-random tie-break key, exploring alternative

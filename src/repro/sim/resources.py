@@ -101,8 +101,9 @@ class Store:
 class Resource:
     """A counted semaphore with FIFO granting.
 
-    ``acquire`` yields an event firing when a unit is granted; ``release``
-    returns the unit.  Models CPU cores and compute-unit work-group slots.
+    ``acquire(n)`` yields an event firing when ``n`` units (default one)
+    are granted; ``release`` returns one unit.  Models CPU cores and
+    compute-unit work-group slots.
     """
 
     def __init__(self, sim: Simulator, capacity: int, name: str = ""):
@@ -112,29 +113,37 @@ class Resource:
         self.name = name
         self.capacity = capacity
         self.in_use = 0
-        self._waiters: Deque[Event] = deque()
+        self._waiters: Deque[tuple[Event, int]] = deque()
 
     @property
     def available(self) -> int:
         return self.capacity - self.in_use
 
-    def acquire(self) -> Event:
+    def acquire(self, amount: int = 1) -> Event:
+        """An event firing once ``amount`` units are granted (FIFO: a
+        request never overtakes an earlier waiter)."""
+        if not 0 < amount <= self.capacity:
+            raise SimulationError(
+                f"cannot acquire {amount} of {self.capacity} units of "
+                f"{self.name!r}")
         ev = Event(self.sim, name=f"acquire:{self.name}")
-        if self.in_use < self.capacity:
-            self.in_use += 1
+        if not self._waiters and self.in_use + amount <= self.capacity:
+            self.in_use += amount
             ev.succeed()
         else:
-            self._waiters.append(ev)
+            self._waiters.append((ev, amount))
         return ev
 
     def release(self) -> None:
         if self.in_use <= 0:
             raise SimulationError(f"release of idle resource {self.name!r}")
-        if self._waiters:
-            # Hand the unit directly to the next waiter; in_use is unchanged.
-            self._waiters.popleft().succeed()
-        else:
-            self.in_use -= 1
+        self.in_use -= 1
+        # Grant waiters in order while the head request fits.
+        while (self._waiters
+               and self.in_use + self._waiters[0][1] <= self.capacity):
+            ev, amount = self._waiters.popleft()
+            self.in_use += amount
+            ev.succeed()
 
     def request(self):
         """Context-manager style helper for use inside processes::

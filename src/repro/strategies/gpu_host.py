@@ -26,14 +26,14 @@ so the microbenchmark can run it side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
 from repro.cluster import Node
 from repro.gpu.kernel import KernelContext, KernelDescriptor
 from repro.memory import Agent, Buffer
-from repro.sim import Store
+from repro.sim import SpinWatch, Store
 
 __all__ = ["GpuHostService", "gpu_host_initiator"]
 
@@ -49,6 +49,16 @@ class _Request:
     offset: int = 0
     remote_addr: Optional[int] = None
     handle: Optional[object] = None  # filled by the service
+    #: one-shot wake-ups for the moment ``handle`` is set
+    watchers: List[Callable[[], None]] = field(default_factory=list)
+
+    def posted(self, handle: object) -> None:
+        """The service posted the message: set ``handle``, then wake
+        whoever waits for it."""
+        self.handle = handle
+        watchers, self.watchers = self.watchers, []
+        for wake in watchers:
+            wake()
 
 
 class GpuHostService:
@@ -92,15 +102,15 @@ class GpuHostService:
             self.node.host.stats["busy_ns"] += service_ns
             yield sim.timeout(service_ns)
             if request.remote_addr is not None:
-                request.handle = self.node.nic.post_put(
+                request.posted(self.node.nic.post_put(
                     request.buf.addr(request.offset), request.nbytes,
                     request.target, request.remote_addr,
-                    wire_tag=request.wire_tag)
+                    wire_tag=request.wire_tag))
             else:
-                request.handle = self.node.nic.post_put(
+                request.posted(self.node.nic.post_put(
                     request.buf.addr(request.offset), request.nbytes,
                     request.target, remote_addr=None,
-                    wire_tag=request.wire_tag, kind="send")
+                    wire_tag=request.wire_tag, kind="send"))
             self.serviced.append(request)
 
     def stop(self) -> None:
@@ -151,10 +161,18 @@ def gpu_host_initiator(node: Node, target: str, send_buf: Buffer, nbytes: int,
     inst = yield from node.host.launch_kernel(desc)
     result.kernel_started = yield inst.started
     result.kernel_finished = yield inst.finished
-    # Wait for the helper to have posted the message.
+    # Wait for the helper to have posted the message.  Untraced, the
+    # wait is watched: it sleeps until the service sets the handle.
     poll_ns = node.config.cpu.completion_poll_ns
+
+    def subscribe(wake) -> bool:
+        request.watchers.append(wake)
+        return True
+
+    watch = (None if node.host.tracer.enabled
+             else SpinWatch((poll_ns,), subscribe))
     spinning = node.sim.spin(
-        lambda: None if request.handle is not None else poll_ns)
+        lambda: None if request.handle is not None else poll_ns, watch)
     if spinning is not None:
         yield spinning
     result.network_posted = node.sim.now

@@ -5,11 +5,14 @@ latency without kernel boundaries, but a dedicated CPU helper thread in
 the critical path.  These tests pin that behaviour quantitatively.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from repro.apps.microbench import run_microbenchmark
+from repro.apps.microbench import MicrobenchExperiment, run_microbenchmark
 from repro.cluster import Cluster
 from repro.config import default_config
+from repro.strategies import gpu_host
 from repro.strategies.gpu_host import GpuHostService, _Request
 
 
@@ -81,3 +84,36 @@ class TestService:
                                          remote_addr=dst.addr()))
         cluster.run()
         assert service.serviced == []
+
+
+@pytest.mark.parametrize("nbytes", [64, 1 << 20])
+@pytest.mark.parametrize("teardown_ns,packet_build_ns",
+                         [(1500, 300), (200, 300), (200, 4000)])
+def test_watched_helper_wait_matches_ticking(monkeypatch, nbytes,
+                                             teardown_ns, packet_build_ns):
+    """Untraced, the initiator sleeps until the helper thread posts; the
+    record must equal the ticking wait's.  At the default config the
+    helper posts before the kernel is torn down, so the wait never
+    spins; with a short teardown or a slow helper the watched wait pops
+    fewer events."""
+    cfg = default_config()
+    cfg = cfg.with_(kernel=replace(cfg.kernel, teardown_ns=teardown_ns),
+                    cpu=replace(cfg.cpu, packet_build_ns=packet_build_ns))
+
+    def execute(watched):
+        if not watched:  # only the helper wait ticks
+            monkeypatch.setattr(gpu_host, "SpinWatch", lambda *args: None)
+        try:
+            execution = MicrobenchExperiment().execute(
+                {"strategy": "gpu-host", "nbytes": nbytes}, cfg, trace=False)
+        finally:
+            monkeypatch.undo()
+        return execution.record.to_json(), execution.cluster.sim.events_processed
+
+    watched, events = execute(watched=True)
+    ticking, ticks = execute(watched=False)
+    assert watched == ticking
+    if teardown_ns == 1500 and packet_build_ns == 300:
+        assert events == ticks
+    else:
+        assert events < ticks

@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster import Cluster
 from repro.gpu.kernel import KernelDescriptor
+from repro.memory import Agent
 
 
 def make_cluster(n=2):
@@ -177,22 +178,36 @@ class TestKernelPath:
 
 
 class TestFlags:
-    def test_poll_flag_returns_value(self):
-        cluster = make_cluster()
-        host = cluster[0].host
-        flag = host.alloc(4)
+    @pytest.mark.parametrize("trace", [False, True],
+                             ids=["untraced", "traced"])
+    def test_poll_flag_returns_value(self, trace):
+        """The poll resumes at the first probe after the third bump.
+
+        Each bump is a recorded write (``mem.record_write``), as every
+        modeled writer's is: untraced, the poll is watched and wakes only
+        on recorded writes, so a bare numpy store would leave it asleep.
+        Traced, it ticks every ``completion_poll_ns``; both forms resume
+        at the same instant.
+        """
+        cluster = Cluster(n_nodes=2, trace=trace)
+        node = cluster[0]
+        flag = node.host.alloc(4)
 
         def proc():
-            value = yield from host.poll_flag(flag, at_least=3)
+            value = yield from node.host.poll_flag(flag, at_least=3)
             return value, cluster.sim.now
 
         def bump():
             flag.view(np.uint32)[0] += 1
+            node.mem.record_write(cluster.sim.now, Agent.CPU, flag)
 
-        for t in (100, 200, 300):
+        for t in (100, 200, 330):
             cluster.sim.schedule(t, bump)
         value, t = run_proc(cluster, proc())
-        assert value == 3 and t >= 300
+        # Probes run at multiples of 50 ns from t=0: 350 is the first
+        # after the write at 330.
+        assert node.config.cpu.completion_poll_ns == 50
+        assert (value, t) == (3, 350)
 
 
 class TestAlloc:

@@ -1,5 +1,7 @@
 """Integration tests for the NIC device (repro.nic.device) over the fabric."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,89 @@ class TestGpuTriggeredPath:
         tb.sim.run()
         assert all(h.delivered.triggered for h in handles)
         assert nic.trigger_list.stats["fired"] == n
+
+
+class TestTriggerHandleLifetime:
+    """A registered put's handle lives on the NIC until its entry is
+    freed; the op never refers back to it, so nothing is cyclic."""
+
+    def _fired_put(self, tb):
+        src = tb.alloc_registered("n0", 64)
+        dst = tb.alloc_registered("n1", 64)
+        nic = tb.nics["n0"]
+        entry = nic.register_triggered_put(tag=3, threshold=1,
+                                           local_addr=src.addr(), nbytes=64,
+                                           target="n1", remote_addr=dst.addr())
+        nic.mmio_write(nic.trigger_address, 3)
+        tb.sim.run_until_event(nic.handle_for(entry).delivered)
+        return nic, entry
+
+    def test_op_holds_no_handle(self, nic_testbed):
+        nic, entry = self._fired_put(nic_testbed)
+        assert entry.op.meta == {}
+        assert nic.handle_for(entry).op is entry.op
+
+    def test_handle_for_freed_entry_raises(self, nic_testbed):
+        nic, entry = self._fired_put(nic_testbed)
+        nic.handle_for(entry)  # still available once fired
+        nic.trigger_list.free(entry)
+        with pytest.raises(ValueError, match="tag=3 was freed"):
+            nic.handle_for(entry)
+
+    def test_fanout_handles_go_with_the_entry(self, nic_testbed):
+        tb = nic_testbed
+        src = tb.alloc_registered("n0", 8)
+        dsts = [tb.alloc_registered("n1", 8) for _ in range(3)]
+        nic = tb.nics["n0"]
+        entry = nic.register_triggered_fanout(
+            tag=5, threshold=1,
+            puts=[{"local_addr": src.addr(), "nbytes": 8, "target": "n1",
+                   "remote_addr": d.addr()} for d in dsts])
+        handles = nic.fanout_handles(entry)
+        assert nic.handle_for(entry) is handles[0]
+        assert entry.op.meta == {}
+        nic.mmio_write(nic.trigger_address, 5)
+        tb.sim.run()
+        assert all(h.delivered.triggered for h in handles)
+        nic.trigger_list.free(entry)
+        with pytest.raises(ValueError, match="was freed"):
+            nic.fanout_handles(entry)
+
+    def test_single_put_is_not_a_fanout(self, nic_testbed):
+        nic, entry = self._fired_put(nic_testbed)
+        with pytest.raises(ValueError, match="not a fanout"):
+            nic.fanout_handles(entry)
+
+
+@pytest.mark.parametrize("workload", ["allreduce", "jacobi"])
+def test_finished_run_leaves_no_message_garbage(workload):
+    """With the cyclic collector off, a finished GPU-TN run leaves no
+    put handle, delivered message or message behind: reference counting
+    alone frees every payload."""
+    from repro.apps.jacobi import JacobiExperiment
+    from repro.collectives import AllreduceExperiment
+    from repro.net import DeliveredMessage, Message
+    from repro.nic.device import PutHandle
+
+    if workload == "allreduce":
+        experiment = AllreduceExperiment()
+        params = {"strategy": "gputn", "n_nodes": 4, "nbytes": 64 * 1024}
+    else:
+        experiment, params = JacobiExperiment(), {"strategy": "gputn"}
+    kinds = (PutHandle, DeliveredMessage, Message)
+
+    def live():
+        return sum(isinstance(o, kinds) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = live()
+        experiment.run(params)
+        left = live() - before
+    finally:
+        gc.enable()
+    assert left == 0
 
 
 class TestMemoryModelIntegration:
