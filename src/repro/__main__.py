@@ -769,9 +769,11 @@ def _bench_main(argv) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro bench",
         description="Time the standard workloads (raw engine stress, "
-                    "Figure 8 microbench, Jacobi, ring allreduce) and "
-                    "report events/sec, wall time and peak RSS -- the "
-                    "measured standard engine optimizations are held to.")
+                    "Figure 8 microbench, Jacobi, ring allreduce, "
+                    "reliable transport) and report events/sec, wall "
+                    "time (raw and corrected for host speed) and peak "
+                    "RSS -- the measured standard engine optimizations "
+                    "are held to.")
     parser.add_argument("--workloads", nargs="+", choices=list(WORKLOADS),
                         default=list(WORKLOADS), metavar="W",
                         help=f"subset of {list(WORKLOADS)} (default: all)")
@@ -784,11 +786,12 @@ def _bench_main(argv) -> int:
                              f"{DEFAULT_REPORT_PATH})")
     parser.add_argument("--baseline", metavar="FILE", default=None,
                         help="regression gate: exit 1 if any shared "
-                             "workload's events/sec drops more than "
-                             "--max-drop below this BENCH_core.json")
+                             "workload's best wall time, corrected for "
+                             "host speed, is more than --max-drop slower "
+                             "than in this BENCH_core.json")
     parser.add_argument("--max-drop", type=float, default=0.20,
                         metavar="FRAC",
-                        help="allowed fractional rate drop vs --baseline "
+                        help="allowed fractional speed drop vs --baseline "
                              "(default: 0.20)")
     args = parser.parse_args(argv)
     if args.repeat < 1:

@@ -169,7 +169,7 @@ class Fabric:
         return self.queues
 
     # --------------------------------------------------------------- sending
-    def transmit(self, msg: Message) -> Event:
+    def transmit(self, msg: Message, event: bool = True) -> Optional[Event]:
         """Inject ``msg`` at its source now; returns the delivery event.
 
         The event fires at the destination's delivery time with the
@@ -178,6 +178,12 @@ class Fabric:
         handler dispatch is part of the delivery callback).  If a fault
         interposer drops the message, or an rx filter consumes it, the
         event never fires.
+
+        ``event=False`` is for a sender that never waits on delivery (the
+        reliable transport's data, ACKs and NACKs): no event is built and
+        ``None`` is returned.  Where the event would be scheduled,
+        :meth:`Simulator.skip_event` takes its ``seq`` and tie-break
+        draw, so every other event keeps its key.
         """
         now = self.sim.now
         self.topology.index(msg.src)
@@ -196,7 +202,7 @@ class Fabric:
         if traced:
             tracer.point(now, msg.src, "fabric", "tx",
                          msg_id=msg.msg_id, dst=msg.dst, nbytes=msg.nbytes)
-        done = self.sim.event(name=f"deliver:{msg.msg_id}")
+        done = self.sim.event(name=f"deliver:{msg.msg_id}") if event else None
         self.stats["messages"] += 1
         self.stats["bytes"] += msg.nbytes
 
@@ -270,7 +276,8 @@ class Fabric:
                 probe(msg, now, egress_end, delivery_time)
         return done
 
-    def _deliver(self, delivered: DeliveredMessage, done: Event) -> None:
+    def _deliver(self, delivered: DeliveredMessage,
+                 done: Optional[Event]) -> None:
         """Delivery instant: filters, rx handlers, then the waiter event."""
         msg = delivered.message
         for fltr in self._rx_filters[msg.dst]:
@@ -282,7 +289,10 @@ class Fabric:
                          msg_id=msg.msg_id, src=msg.src, nbytes=msg.nbytes)
         for handler in self._rx_handlers[msg.dst]:
             handler(delivered)
-        done.succeed(delivered)
+        if done is not None:
+            done.succeed(delivered)
+        else:
+            self.sim.skip_event()
 
     # ------------------------------------------------------------ estimates
     def uncontended_latency_ns(self, src: str, dst: str, nbytes: int) -> int:

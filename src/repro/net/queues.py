@@ -132,17 +132,32 @@ class SwitchQueues:
         Returns ``(head_start, ecn_marked)`` after reserving the port, or
         ``(None, False)`` if the discipline drops the arrival (the caller
         must abandon the transmission: no ingress, no probe)."""
+        # Called once per switch hop of every routed message: the prune,
+        # the drop-tail verdict and the port reservation are inlined
+        # (same arithmetic as _PortQueue.prune, decide and _Port.reserve).
         q = self._queues.get(key)
         if q is None:
             q = self._queues[key] = _PortQueue()
-        q.prune(head)
-        drop, mark = self.decide(key, q.depth_bytes, msg.nbytes)
+        entries = q.entries
+        if entries and entries[0][0] <= head:
+            q.prune(head)
+        nbytes = msg.nbytes
+        if self.config.discipline == "red":
+            drop, mark = self.decide(key, q.depth_bytes, nbytes)
+        else:
+            drop = q.depth_bytes + nbytes > self.config.capacity_bytes
+            mark = False
         if drop:
             self.stats["dropped"] += 1
             return None, False
-        start, end = port.reserve(now, ser, earliest=head)
-        q.entries.append((end, msg.nbytes))
-        q.depth_bytes += msg.nbytes
+        start = port.busy_until
+        if start < head:
+            start = head
+        if start < now:
+            start = now
+        end = port.busy_until = start + ser
+        entries.append((end, nbytes))
+        q.depth_bytes += nbytes
         self.stats["enqueued"] += 1
         if mark:
             self.stats["ecn_marked"] += 1

@@ -46,9 +46,9 @@ class SwitchFabricTopology(Topology):
     """Base for explicitly-routed multi-switch fabrics.
 
     Subclasses implement :meth:`_route` returning the vertex path for a
-    distinct host pair; latency and hop count derive from it.  Routes are
-    cached -- topologies are immutable, so a pair's path never changes
-    (determinism is also a property-tested invariant).
+    distinct host pair; latency and hop count derive from it.  Routes and
+    path latencies are cached -- topologies are immutable, so a pair's
+    path never changes (determinism is also a property-tested invariant).
     """
 
     def __init__(self, nodes: Sequence[str], link_latency_ns: int = 100,
@@ -59,6 +59,7 @@ class SwitchFabricTopology(Topology):
         self.link_latency_ns = link_latency_ns
         self.switch_latency_ns = switch_latency_ns
         self._routes: Dict[Tuple[str, str], List[str]] = {}
+        self._latencies: Dict[Tuple[str, str], int] = {}
 
     # -- subclass contract -------------------------------------------------
     def _route(self, src: str, dst: str) -> List[str]:
@@ -86,6 +87,9 @@ class SwitchFabricTopology(Topology):
         return self.link_latency_ns
 
     def path_latency_ns(self, src: str, dst: str) -> int:
+        total = self._latencies.get((src, dst))
+        if total is not None:
+            return total
         if src == dst:
             self.index(src)
             return 0
@@ -93,6 +97,7 @@ class SwitchFabricTopology(Topology):
         total = (len(path) - 2) * self.switch_latency_ns
         for a, b in zip(path, path[1:]):
             total += self.segment_latency_ns(a, b)
+        self._latencies[(src, dst)] = total
         return total
 
     def hop_count(self, src: str, dst: str) -> int:

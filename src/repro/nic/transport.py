@@ -39,7 +39,7 @@ from typing import Callable, Deque, Dict, List, Optional
 from repro.config import ReliabilityConfig
 from repro.net.fabric import DeliveredMessage
 from repro.net.packet import Message, MessageKind
-from repro.sim import Event
+from repro.sim import Event, Timer
 from repro.sim.rng import RandomStreams
 
 __all__ = ["ReliableTransport", "SelectiveRepeatTransport", "TransportError",
@@ -90,8 +90,9 @@ class _TxState:
     window: Deque[_Entry] = field(default_factory=deque)
     pending: Deque[_Entry] = field(default_factory=deque)
     retries: int = 0
-    timer_gen: int = 0
-    timer_armed: bool = False
+    #: Retransmit timer (:class:`repro.sim.Timer`: one heap entry per
+    #: flow, however often ACKs re-arm it).
+    timer: Optional[Timer] = None
     dead: bool = False
 
 
@@ -146,6 +147,8 @@ class ReliableTransport:
         self.rc = config
         self._tx: Dict[str, _TxState] = {}
         self._rx: Dict[str, _RxState] = {}
+        #: Uncontended RTT per (peer, window-head bytes); see _rtt_floor_ns.
+        self._rtt_floors: Dict[tuple, int] = {}
         #: Validation probes: ``(kind, peer, seq, now)`` with kinds
         #: ``tx`` / ``accept`` / ``dup`` / ``gap`` / ``corrupt`` /
         #: ``retransmit`` / ``give-up`` -- the attachment point for
@@ -206,18 +209,22 @@ class ReliableTransport:
     def _tx_state(self, peer: str) -> _TxState:
         st = self._tx.get(peer)
         if st is None:
-            self._tx[peer] = st = _TxState(peer)
+            self._tx[peer] = st = self._new_tx_state(peer)
+            st.timer = Timer(self.sim, self._on_timer, st)
         return st
 
+    def _new_tx_state(self, peer: str) -> _TxState:
+        return _TxState(peer)
+
     def _tx_entry(self, st: _TxState, entry: _Entry) -> None:
-        self.fabric.transmit(entry.msg)
+        self.fabric.transmit(entry.msg, event=False)
         self.stats["tx_data"] += 1
         if not entry.sent:
             entry.sent = True
             self._emit("tx", st.peer, entry.seq)
             if entry.on_first_tx is not None:
                 entry.on_first_tx()
-        if not st.timer_armed:
+        if not st.timer.armed:
             self._arm_timer(st)
 
     # -------------------------------------------------------------- timers
@@ -229,16 +236,18 @@ class ReliableTransport:
         fires before an ACK could possibly return and every "timeout" is
         spurious -- go-back-N then retransmits the whole healthy window,
         and the dup-suppressed copies re-trip the timer forever."""
-        head = st.window[0].msg
-        net = self.fabric.net
-        path = self.fabric.topology.path_latency_ns
-        return (net.serialization_ns(head.nbytes) + path(self.node, st.peer)
+        key = (st.peer, st.window[0].msg.nbytes)
+        floor = self._rtt_floors.get(key)
+        if floor is None:
+            net = self.fabric.net
+            path = self.fabric.topology.path_latency_ns
+            floor = self._rtt_floors[key] = (
+                net.serialization_ns(key[1]) + path(self.node, st.peer)
                 + net.serialization_ns(self.rc.ack_bytes)
                 + path(st.peer, self.node))
+        return floor
 
     def _arm_timer(self, st: _TxState) -> None:
-        st.timer_gen += 1
-        st.timer_armed = True
         # RTO >= 2x the path RTT (classic Jacobson floor).  On the star
         # with Table 2 latencies the floor is well under the configured
         # 20 us, so single-switch timing is untouched.
@@ -247,16 +256,14 @@ class ReliableTransport:
         if self._backoff_rng is not None:
             delay += int(self._backoff_rng.integers(
                 0, self.rc.backoff_jitter_ns + 1))
-        self.sim.call_later(delay, self._on_timer, st, st.timer_gen)
+        st.timer.arm(delay)
 
     def _disarm_timer(self, st: _TxState) -> None:
-        st.timer_gen += 1
-        st.timer_armed = False
+        st.timer.cancel()
 
-    def _on_timer(self, st: _TxState, gen: int) -> None:
-        if gen != st.timer_gen or st.dead or not st.window:
+    def _on_timer(self, st: _TxState) -> None:
+        if st.dead or not st.window:
             return
-        st.timer_armed = False
         self.stats["timeouts"] += 1
         self._go_back_n(st, cause="timeout")
 
@@ -272,7 +279,7 @@ class ReliableTransport:
         self._emit("retransmit", st.peer, base)
         self.stats["retransmits"] += len(st.window)
         for entry in st.window:
-            self.fabric.transmit(entry.msg)
+            self.fabric.transmit(entry.msg, event=False)
         self._arm_timer(st)
 
     def _give_up(self, st: _TxState) -> None:
@@ -390,7 +397,7 @@ class ReliableTransport:
         self.stats["acks_tx"] += 1
         self.fabric.transmit(Message(
             src=self.node, dst=peer, nbytes=self.rc.ack_bytes,
-            kind=MessageKind.ACK, seq=ackseq))
+            kind=MessageKind.ACK, seq=ackseq), event=False)
 
     def _maybe_nack(self, peer: str, rx: _RxState) -> None:
         if rx.nacked_for == rx.expected:
@@ -401,7 +408,7 @@ class ReliableTransport:
                               peer=peer, wanted=rx.expected)
         self.fabric.transmit(Message(
             src=self.node, dst=peer, nbytes=self.rc.ack_bytes,
-            kind=MessageKind.NACK, seq=rx.expected))
+            kind=MessageKind.NACK, seq=rx.expected), event=False)
 
     # ------------------------------------------------------------- helpers
     def _emit(self, kind: str, peer: str, seq: int) -> None:
@@ -453,12 +460,8 @@ class SelectiveRepeatTransport(ReliableTransport):
                            "rx_buffered": 0, "cwnd_cuts": 0})
 
     # ------------------------------------------------------------- send side
-    def _tx_state(self, peer: str) -> _SrTxState:
-        st = self._tx.get(peer)
-        if st is None:
-            self._tx[peer] = st = _SrTxState(
-                peer, cwnd=float(self.rc.effective_cwnd_ceiling))
-        return st
+    def _new_tx_state(self, peer: str) -> _SrTxState:
+        return _SrTxState(peer, cwnd=float(self.rc.effective_cwnd_ceiling))
 
     def _send_limit(self, st: _TxState) -> int:
         if not self.rc.pacing:
@@ -478,10 +481,9 @@ class SelectiveRepeatTransport(ReliableTransport):
                               peer=st.peer, cause=cause, cwnd=int(st.cwnd))
 
     # -------------------------------------------------------------- timers
-    def _on_timer(self, st: _SrTxState, gen: int) -> None:
-        if gen != st.timer_gen or st.dead or not st.window:
+    def _on_timer(self, st: _SrTxState) -> None:
+        if st.dead or not st.window:
             return
-        st.timer_armed = False
         self.stats["timeouts"] += 1
         st.retries += 1
         if st.retries > self.rc.max_retries:
@@ -499,7 +501,7 @@ class SelectiveRepeatTransport(ReliableTransport):
         self._emit("retransmit", st.peer, base)
         self.stats["retransmits"] += len(targets)
         for entry in targets:
-            self.fabric.transmit(entry.msg)
+            self.fabric.transmit(entry.msg, event=False)
         self._arm_timer(st)
 
     # ----------------------------------------------------------- ack intake
@@ -539,7 +541,7 @@ class SelectiveRepeatTransport(ReliableTransport):
                 self.nic.tracer.point(self.sim.now, self.node, "nic",
                                       "fast-retransmit", peer=peer,
                                       seq=head.seq)
-                self.fabric.transmit(head.msg)
+                self.fabric.transmit(head.msg, event=False)
         while st.pending and len(st.window) < self._send_limit(st):
             entry = st.pending.popleft()
             st.window.append(entry)
@@ -632,7 +634,8 @@ class SelectiveRepeatTransport(ReliableTransport):
             meta["ecn"] = True
         self.fabric.transmit(Message(
             src=self.node, dst=peer, nbytes=self.rc.ack_bytes,
-            kind=MessageKind.ACK, seq=rx.expected - 1, meta=meta))
+            kind=MessageKind.ACK, seq=rx.expected - 1, meta=meta),
+            event=False)
 
 
 def make_transport(nic, config: ReliabilityConfig) -> ReliableTransport:

@@ -245,15 +245,14 @@ class WorkQueue:
         # Local workers report on an mp.Queue; a drainer thread funnels
         # their items into the same thread-safe queue remote endpoint
         # readers use, so the main loop has a single source of truth.
+        # The drainer blocks until an item arrives and stops at the
+        # ``None`` sentinel put once the local workers are reaped, so
+        # ending the dispatch never waits out a poll interval.
         mp_results: multiprocessing.Queue = multiprocessing.Queue()
-        stop_drain = threading.Event()
 
         def _drain() -> None:
-            while not stop_drain.is_set():
-                try:
-                    results.put(mp_results.get(timeout=0.2))
-                except _queue.Empty:
-                    continue
+            while (item := mp_results.get()) is not None:
+                results.put(item)
 
         drainer = threading.Thread(target=_drain, daemon=True,
                                    name="workqueue-drain")
@@ -364,13 +363,13 @@ class WorkQueue:
                 elif kind == "dead":
                     bury(wid)
         finally:
-            stop_drain.set()
             # Local workers are ours to reap; remote endpoints belong to
             # the dispatcher (the Job closes it -- possibly with
             # final=False on preemption so workers reconnect on resume).
             for ep in list(endpoints.values()):
                 if ep.kind == "local":
                     ep.shutdown()
+            mp_results.put(None)
             drainer.join(timeout=2.0)
             mp_results.cancel_join_thread()
             mp_results.close()

@@ -9,7 +9,8 @@ Public surface:
 
 * :class:`~repro.sim.engine.Simulator` -- the event loop.
 * :class:`~repro.sim.engine.Event`, :class:`~repro.sim.engine.Timeout` --
-  primitive waitables.
+  primitive waitables; :class:`~repro.sim.engine.Timer` -- a re-armable
+  callback that keeps one heap entry.
 * :class:`~repro.sim.process.Process` -- a generator-based coroutine that
   yields waitables.
 * :mod:`~repro.sim.resources` -- FIFO stores, semaphore-style resources and
@@ -28,6 +29,7 @@ from repro.sim.engine import (
     Simulator,
     SpinWatch,
     Timeout,
+    Timer,
     WatchedEvent,
 )
 from repro.sim.process import Process, ProcessKilled
@@ -51,6 +53,7 @@ __all__ = [
     "SpinWatch",
     "Store",
     "Timeout",
+    "Timer",
     "TraceEvent",
     "Tracer",
     "WatchedEvent",

@@ -33,7 +33,11 @@ is a failed poll: a *watched* spin (:class:`SpinWatch`) sleeps until its
 flag is written and then pops once, at the sequence key the ticking
 loop's successful tick would have had.  With tie-breaks unseeded a
 skipped tick is only a missing ``seq`` bump, and ``seq`` stays
-monotone, so every other event keeps its relative order.
+monotone, so every other event keeps its relative order.  Pops that
+would run no code -- a superseded :class:`Timer` arm, a delivery event
+nobody waits on (:meth:`Simulator.skip_event`) -- are dropped too, but
+their ``seq`` and tie-break draw are still taken, so every other event
+keeps its exact key, seeded or not.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ __all__ = [
     "Simulator",
     "SpinWatch",
     "Timeout",
+    "Timer",
     "WatchedEvent",
 ]
 
@@ -253,6 +258,90 @@ class _CallbackEvent(Event):
         if len(pool) < _POOL_MAX:
             pool.append(self)
         fn(*args)  # type: ignore[misc]
+
+
+class Timer:
+    """A re-armable one-shot callback that keeps one heap entry.
+
+    ``timer.arm(delay)`` schedules ``fn(*args)`` ``delay`` ns from now and
+    supersedes any earlier arm; :meth:`cancel` drops the live arm.  The
+    pop order is exactly that of one :meth:`Simulator.call_later` per
+    arm whose callback ignores superseded arms, minus those superseded
+    pops:
+
+    * each arm takes its ``seq`` and tie-break draw at arm time, as
+      ``call_later`` would, and records the key ``(deadline,
+      PRIORITY_NORMAL, tie, seq)``;
+    * the timer keeps one entry in the heap.  An arm whose key sorts
+      before that entry's pushes a new one (the old entry pops later and
+      does nothing, as the superseded ``call_later`` would have);
+      otherwise it only records its key;
+    * when the entry pops and a later-keyed arm is live, the entry
+      re-pushes itself under the recorded key, which takes no ``seq``
+      and no draw.  The live arm then pops under the key its
+      ``call_later`` would have had, at the same place.
+
+    The pops this drops ran no code, so every remaining pop keeps its
+    key and place, seeded tie-breaks included (DESIGN.md §10, "no dead
+    events on the reliable path").
+    """
+
+    __slots__ = ("sim", "_fn", "_args", "_key", "_queued")
+
+    def __init__(self, sim: "Simulator", fn: Callable[..., None], *args: Any):
+        self.sim = sim
+        self._fn = fn
+        self._args = args
+        #: Heap key of the live arm, or None.
+        self._key: Optional[tuple] = None
+        #: Key of the entry this timer keeps in the heap, or None.
+        self._queued: Optional[tuple] = None
+
+    @property
+    def armed(self) -> bool:
+        """True from :meth:`arm` until the callback runs or :meth:`cancel`."""
+        return self._key is not None
+
+    def arm(self, delay: int) -> None:
+        """Schedule the callback ``delay`` ns from now, superseding any
+        earlier arm."""
+        if delay < 0:
+            raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        sim = self.sim
+        seq = sim._seq = sim._seq + 1
+        rng = sim._tiebreak_rng
+        key = self._key = (sim._now + int(delay), PRIORITY_NORMAL,
+                           rng.getrandbits(16) if rng is not None else 0, seq)
+        queued = self._queued
+        if queued is None or key < queued:
+            self._push(key)
+
+    def cancel(self) -> None:
+        """Drop the live arm (its entry still pops, and does nothing)."""
+        self._key = None
+
+    def _push(self, key: tuple) -> None:
+        self._queued = key
+        sim = self.sim
+        pool = sim._pool
+        ev = pool.pop() if pool else _CallbackEvent(sim)
+        ev._fn = self._pop
+        ev._args = (key,)
+        ev._sched_seq = key[3]
+        _heappush(sim._heap, (*key, ev))
+
+    def _pop(self, key: tuple) -> None:
+        if key is not self._queued:
+            return  # an earlier-keyed arm pushed past this entry
+        self._queued = None
+        live = self._key
+        if live is None:
+            return
+        if live is not key:
+            self._push(live)
+            return
+        self._key = None
+        self._fn(*self._args)
 
 
 class WatchedEvent(Event):
@@ -747,6 +836,15 @@ class Simulator:
                   (self._now + int(delay), priority,
                    rng.getrandbits(16) if rng is not None else 0,
                    seq, ev))
+
+    def skip_event(self) -> None:
+        """Take the ``seq`` and tie-break draw of a zero-delay event that
+        is not scheduled because it would run no code when it popped (a
+        delivery event nobody waits on).  Every later event then gets the
+        key it would have had with that event scheduled."""
+        self._seq += 1
+        if self._tiebreak_rng is not None:
+            self._tiebreak_rng.getrandbits(16)
 
     def spin(self, probe: Callable[[], Optional[int]],
              watch: Optional[SpinWatch] = None) -> Optional[Event]:

@@ -6,7 +6,12 @@ import pytest
 
 from repro.bench import (
     DEFAULT_REPORT_PATH,
+    REFERENCE_S,
     WORKLOADS,
+    BenchReport,
+    WorkloadResult,
+    compare_to_baseline,
+    reference_seconds,
     run_bench,
 )
 from repro.bench.harness import SCHEMA_VERSION
@@ -28,6 +33,67 @@ class TestWorkloads:
         assert WORKLOADS[name]() > 0
 
 
+def _result(name, events, walls, refs):
+    return WorkloadResult(name=name, events=events, best_wall_s=min(walls),
+                          wall_s=list(walls), ref_s=list(refs))
+
+
+def _baseline(**best_corrected_s):
+    return {"workloads": {name: {"best_corrected_s": s, "events": 1000,
+                                 "events_per_sec": 1000 / s}
+                          for name, s in best_corrected_s.items()}}
+
+
+class TestGate:
+    """``compare_to_baseline`` gates on best wall time at reference host
+    speed, not on events/sec."""
+
+    def test_reference_work_is_timed(self):
+        assert reference_seconds() > 0
+
+    def test_corrected_time_scales_by_bracketing_references(self):
+        r = _result("engine", 1000, [0.4, 0.3], [0.2, 0.2, 0.1])
+        # Run 0 ran at half the reference speed, run 1 between the two.
+        assert r.corrected_wall_s == pytest.approx(
+            [0.4 * REFERENCE_S / 0.2, 0.3 * REFERENCE_S / 0.15])
+        assert r.best_corrected_s == min(r.corrected_wall_s)
+
+    def test_slow_host_is_not_a_regression(self):
+        # Twice the baseline's wall time on a host that runs the
+        # reference twice as slowly: the same speed.
+        report = BenchReport(repeat=1, results=[
+            _result("engine", 1000, [0.4], [2 * REFERENCE_S] * 2)])
+        assert compare_to_baseline(report, _baseline(engine=0.2)) == []
+
+    def test_fewer_events_in_less_time_is_not_a_regression(self):
+        # The rate falls (600 ev in 0.15 s < 1000 ev in 0.2 s) while the
+        # workload got faster.
+        report = BenchReport(repeat=1, results=[
+            _result("transport", 600, [0.15], [REFERENCE_S] * 2)])
+        assert compare_to_baseline(report, _baseline(transport=0.2)) == []
+
+    def test_slowdown_beyond_max_drop_fails(self):
+        report = BenchReport(repeat=1, results=[
+            _result("engine", 1000, [0.3], [REFERENCE_S] * 2),
+            _result("jacobi", 1000, [0.24], [REFERENCE_S] * 2)])
+        failures = compare_to_baseline(
+            report, _baseline(engine=0.2, jacobi=0.2), max_drop=0.20)
+        # engine: speed fell by a third; jacobi: by 1/6, within 20%.
+        assert len(failures) == 1 and failures[0].startswith("engine:")
+
+    def test_baselines_without_corrected_times_are_ignored(self):
+        report = BenchReport(repeat=1, results=[
+            _result("engine", 1000, [9.0], [REFERENCE_S] * 2),
+            _result("jacobi", 1000, [9.0], [])])
+        old = {"workloads": {"engine": {"events_per_sec": 1e9}}}
+        assert compare_to_baseline(report, old) == []
+        assert compare_to_baseline(report, _baseline(jacobi=0.1)) == []
+
+    def test_bad_max_drop_rejected(self):
+        with pytest.raises(ValueError):
+            compare_to_baseline(BenchReport(repeat=1), {}, max_drop=1.5)
+
+
 class TestHarness:
     def test_report_schema(self, monkeypatch):
         monkeypatch.setitem(WORKLOADS, "engine",
@@ -41,6 +107,11 @@ class TestHarness:
         assert wl["events_per_sec"] > 0
         assert len(wl["wall_s"]) == 2
         assert wl["best_wall_s"] == min(wl["wall_s"])
+        # Each run is bracketed by the host-speed reference.
+        assert len(wl["ref_s"]) == 3 and min(wl["ref_s"]) > 0
+        assert wl["best_corrected_s"] > 0
+        # A millisecond workload is timed over many calls per run.
+        assert wl["loops"] > 1
 
     def test_peak_rss_reported_on_linux(self, monkeypatch):
         monkeypatch.setitem(WORKLOADS, "engine",

@@ -12,6 +12,7 @@ for.
 
 import re
 
+import numpy as np
 import pytest
 
 from repro.apps.jacobi import JacobiExperiment
@@ -198,3 +199,90 @@ def test_seeded_tiebreaks_keep_per_workgroup_path(monkeypatch):
     _, log, events = _launch(monkeypatch, 6, seed=7)
     _, per_wg_log, per_wg_events = _launch(monkeypatch, 6, gang=False, seed=7)
     assert (log, events) == (per_wg_log, per_wg_events)
+
+
+# ------------------------------------------- the kernel's first and last instants
+
+def _edge_kernel(ctx):
+    """Uniform: work-group 0 does the zero-time data work for all of them
+    -- a flag store as the kernel starts, a data store as it ends, both
+    without a system-scope release -- and every work-group computes the
+    same."""
+    if ctx.wg_id == 0:
+        ctx.write(ctx.arg("flag"), np.ones(1, np.uint32))
+    yield ctx.compute(100)
+    yield ctx.barrier()
+    if ctx.wg_id == 0:
+        ctx.write(ctx.arg("data"), np.full(4, 7, np.uint32))
+
+
+def _edge_run(monkeypatch, *, gang, end_at=None, steps=4):
+    """Run :func:`_edge_kernel` with a host process that samples the node
+    in ``steps`` pops, chained by zero-delay timeouts, at the kernel's
+    first instant (from its ``started`` event on) and, given ``end_at``,
+    at that instant (from a timeout scheduled before the kernel launched,
+    so it pops ahead of the kernel's last pop there).  Each sample reads the flag and the data
+    with CPU loads, so stale reads log hazards.
+
+    Returns the samples, every pop outside the work-groups, the hazards,
+    the GPU stats and the instant the last work-group ended."""
+    if not gang:
+        monkeypatch.setattr(Gpu, "_gangs", lambda self, desc: False)
+    cluster = Cluster(n_nodes=1, trace=False)
+    sim, node = cluster.sim, cluster[0]
+    gpu, host = node.gpu, node.host
+    pops, samples, ends = [], [], []
+    _pop_logger(pops)(cluster)
+    gpu.probes.append(lambda kind, now, d: kind == "wg-end"
+                      and ends.append(now))
+    flag, data = host.alloc(4, name="flag"), host.alloc(16, name="data")
+
+    def sample(label):
+        for step in range(steps):
+            if step:
+                yield sim.timeout(0)
+            samples.append((label, sim.now,
+                            int(host.cpu_read(flag, np.uint32)[0]),
+                            int(host.cpu_read(data, np.uint32)[0]),
+                            gpu.cus.in_use))
+
+    def at_start(inst):
+        yield inst.started
+        yield from sample("start")
+
+    def at_end():
+        yield sim.timeout(end_at)
+        yield from sample("end")
+
+    if end_at is not None:
+        sim.spawn(at_end(), name="edge-end")
+    inst = gpu.launch(KernelDescriptor(fn=_edge_kernel, n_workgroups=6,
+                                       uniform=True,
+                                       args={"flag": flag, "data": data}))
+    sim.spawn(at_start(inst), name="edge-start")
+    sim.run()
+    monkeypatch.undo()
+    hazards = [str(h) for h in node.mem.hazards]
+    return samples, pops, hazards, dict(gpu.stats), max(ends)
+
+
+def test_events_at_kernel_first_and_last_instants(monkeypatch):
+    """Host loads land on the gang's first instant (between its boot and
+    CU-acquire pops) and on its last one (before, between and after its
+    exit pops).  The gang must show them what the per-work-group path
+    shows: the same values, the same CU occupancy, the same stale-read
+    hazards, and every other pop in the same order."""
+    *_, end = _edge_run(monkeypatch, gang=False)
+    per_wg = _edge_run(monkeypatch, gang=False, end_at=end)
+    gang = _edge_run(monkeypatch, gang=True, end_at=end)
+    samples = per_wg[0]
+    # The workload does reach both instants, and sees each change there.
+    assert {label for label, *_ in samples} == {"start", "end"}
+    start = [s for s in samples if s[0] == "start"]
+    last = [s for s in samples if s[0] == "end"]
+    assert {s[1] for s in last} == {end}
+    assert start[0][2] == 0 and start[-1][2] == 1      # flag store seen
+    assert last[0][4] == 6 and last[-1][4] == 0        # CUs freed there
+    assert last[0][3] == 0 and last[-1][3] == 7        # data store seen
+    assert per_wg[2]                                   # stale CPU reads
+    assert gang[:4] == per_wg[:4]

@@ -306,3 +306,64 @@ class TestKillResume:
         serial = run_campaign(workloads=["microbench"], seeds=seeds)
         assert ([r.to_json() for r in records]
                 == [r.to_json() for r in serial.records])
+
+
+# ------------------------------------------------------------ drainer stop
+class _EchoRunner:
+    """A runner whose points cost nothing: a record of the point."""
+
+    name = "test-echo"
+
+    @staticmethod
+    def init(payload):
+        return None
+
+    @staticmethod
+    def run(state, index, point):
+        return RunRecord(experiment="echo", params=dict(point),
+                         config_fingerprint="echo", metrics={"i": index}), "run"
+
+
+class TestDrainerStop:
+    def test_dispatch_end_waits_out_no_poll(self, monkeypatch):
+        """The drainer thread must stop as soon as the dispatch ends, not
+        after its ``get`` timeout expires: after the last result, no
+        ``get`` on the workers' result queue may time out."""
+        import multiprocessing
+        import multiprocessing.queues
+        import queue as queue_mod
+
+        from repro.service import queue as wq
+        from repro.service import runners
+
+        made = []
+
+        class CountingQueue(multiprocessing.queues.Queue):
+            def __init__(self, maxsize=0):
+                super().__init__(maxsize, ctx=multiprocessing.get_context())
+                self.log = []
+                made.append(self)
+
+            def get(self, block=True, timeout=None):
+                try:
+                    item = super().get(block, timeout)
+                except queue_mod.Empty:
+                    self.log.append("empty")
+                    raise
+                self.log.append("item" if item is not None else "sentinel")
+                return item
+
+        monkeypatch.setitem(runners._RUNNERS, _EchoRunner.name, _EchoRunner)
+        monkeypatch.setattr(multiprocessing, "Queue", CountingQueue)
+        points = [{"k": i} for i in range(6)]
+        done = []
+        wq.WorkQueue(_EchoRunner, None, _EchoRunner.name, b"", jobs=2).execute(
+            range(len(points)), points,
+            on_done=lambda i, rec, src: done.append(i),
+            should_stop=lambda: False)
+        assert sorted(done) == list(range(6))
+        (mp_results,) = made
+        log = mp_results.log
+        last = max(i for i, what in enumerate(log) if what == "item")
+        assert log[last + 1:].count("empty") == 0, log
+        assert log[-1] == "sentinel", log
