@@ -45,7 +45,6 @@ from repro.version import __version__
 #: The blessed public surface.  Names not importable eagerly above are
 #: provided lazily through ``__getattr__`` (PEP 562).
 __all__ = [
-    "CacheBackend",
     "Cluster",
     "CollectiveExperiment",
     "Experiment",
@@ -53,7 +52,6 @@ __all__ = [
     "GpuTnEndpoint",
     "Job",
     "JobStore",
-    "LocalDirBackend",
     "MetricsRegistry",
     "Observers",
     "QueueConfig",
@@ -61,7 +59,6 @@ __all__ = [
     "ResultCache",
     "RunRecord",
     "STRATEGIES",
-    "SubmitThrottled",
     "Sweep",
     "SystemConfig",
     "__version__",
@@ -82,7 +79,6 @@ __all__ = [
 
 #: Lazy re-exports: public name -> (module, attribute).
 _LAZY = {
-    "CacheBackend": ("repro.service", "CacheBackend"),
     "Cluster": ("repro.cluster", "Cluster"),
     "CollectiveExperiment": ("repro.collectives", "CollectiveExperiment"),
     "Experiment": ("repro.runtime", "Experiment"),
@@ -90,7 +86,6 @@ _LAZY = {
     "GpuTnEndpoint": ("repro.api", "GpuTnEndpoint"),
     "Job": ("repro.service", "Job"),
     "JobStore": ("repro.service", "JobStore"),
-    "LocalDirBackend": ("repro.service", "LocalDirBackend"),
     "MetricsRegistry": ("repro.metrics", "MetricsRegistry"),
     "Observers": ("repro.runtime", "Observers"),
     "QueueConfig": ("repro.config", "QueueConfig"),
@@ -98,7 +93,6 @@ _LAZY = {
     "ResultCache": ("repro.runtime", "ResultCache"),
     "RunRecord": ("repro.runtime", "RunRecord"),
     "STRATEGIES": ("repro.strategies", "STRATEGIES"),
-    "SubmitThrottled": ("repro.service", "SubmitThrottled"),
     "Sweep": ("repro.runtime", "Sweep"),
     "attach_metrics": ("repro.metrics", "attach_metrics"),
     "attach_traffic": ("repro.traffic", "attach_traffic"),

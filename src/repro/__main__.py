@@ -27,16 +27,22 @@ go-back-N reliable transport armed (see :mod:`repro.faults`)::
     python -m repro faults --workloads allreduce --fail-fast --json out.json
     python -m repro faults --degraded               # goodput/p99 vs loss rate
 
-The ``jobs`` subcommand is the resumable face of the same campaigns: it
-journals every completed case into a job store (``.repro-jobs/`` by
-default, override with ``$REPRO_JOBS_DIR``), streams per-case progress,
-and survives SIGINT/SIGTERM -- a preempted job resumes from the journal,
-re-running only the cases that never finished (see :mod:`repro.service`)::
+The ``jobs`` subcommand is the resumable face of the same campaigns
+(``validate``, ``faults``, ``topo``, ``congestion``): it journals every
+completed point into a job store (``.repro-jobs/`` by default, override
+with ``$REPRO_JOBS_DIR``), streams per-point progress, and survives
+SIGINT/SIGTERM -- a preempted job resumes from the journal, re-running
+only the points that never finished, and prints the same report, JSON
+file and exit code as its submission (see :mod:`repro.service`)::
 
     python -m repro jobs submit validate --seeds 500 --jobs 8
     python -m repro jobs status                     # every stored job
     python -m repro jobs status <job-id>
-    python -m repro jobs resume <job-id> --jobs 8
+    python -m repro jobs resume <job-id> --jobs 8 --json out.json
+
+Every campaign subcommand shares the service flags ``--jobs``,
+``--listen`` (open the job to ``python -m repro worker serve``),
+``--fail-fast``, ``--cache-dir`` and ``--json``.
 
 The ``congestion`` subcommand runs the under-load study: background
 traffic (:mod:`repro.traffic`) fills finite switch queues
@@ -71,6 +77,7 @@ throughput plus the standard workloads -- and writes ``BENCH_core.json``
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 from repro.analysis import (
@@ -117,62 +124,39 @@ def check_jobs_arg(parser: argparse.ArgumentParser,
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
 
-def add_dispatch_args(parser: argparse.ArgumentParser) -> None:
-    """Remote-dispatch surface shared by every campaign subcommand."""
+def add_service_args(parser: argparse.ArgumentParser, noun: str, *,
+                     submit: bool = True) -> None:
+    """The service flags of every campaign subcommand and of ``jobs
+    resume`` (which has no ``--fail-fast`` or ``--cache-dir``: a resumed
+    job keeps the cache it was submitted with)."""
+    add_jobs_arg(parser, help="local worker processes; 0 = remote-only, "
+                              "with --listen (results identical to -j 1)")
     parser.add_argument("--listen", metavar="[HOST:]PORT", default=None,
                         help="open the job to remote workers at this "
                              "address (0 = ephemeral port); join with "
                              "`python -m repro worker serve --connect "
                              "HOST:PORT`")
-    parser.add_argument("--priority", type=int, default=0, metavar="P",
-                        help="job priority: higher preempts lower at point "
-                             "granularity within this process (default: 0)")
-    parser.add_argument("--window", type=int, default=None, metavar="N",
-                        help="max in-flight points across all workers "
-                             "(default: max(4, 2*jobs))")
+    if submit:
+        parser.add_argument("--fail-fast", action="store_true",
+                            help=f"stop dispatching new {noun} after the "
+                                 f"first failing one (in-flight {noun} "
+                                 "still finish)")
+        parser.add_argument("--cache-dir", metavar="DIR", default=None,
+                            help=f"reuse {noun[:-1]} records across "
+                                 "campaigns via a ResultCache at DIR "
+                                 "(hit/miss tally lands in the summary and "
+                                 "the --json report)")
+    parser.add_argument("--json", metavar="FILE", default=None,
+                        help="write the full campaign report as JSON")
 
 
-def check_dispatch_args(parser: argparse.ArgumentParser,
-                        args: argparse.Namespace) -> None:
+def check_service_args(parser: argparse.ArgumentParser,
+                       args: argparse.Namespace) -> None:
     if args.jobs < 0:
         parser.error(f"--jobs must be >= 0, got {args.jobs}")
     if args.jobs == 0 and args.listen is None:
         parser.error("--jobs 0 is remote-only; it needs --listen so "
                      "workers can join")
-    if args.window is not None and args.window < 1:
-        parser.error(f"--window must be >= 1, got {args.window}")
-
-
-def add_campaign_args(parser: argparse.ArgumentParser, *,
-                      workloads, seeds_default: int) -> None:
-    """The seeded-campaign surface shared by ``validate``/``faults``
-    (and their ``jobs submit`` spellings)."""
-    parser.add_argument("--seeds", type=int, default=seeds_default,
-                        metavar="N",
-                        help=f"cases per workload (default: {seeds_default})")
-    parser.add_argument("--seed-start", type=int, default=0, metavar="S",
-                        help="first seed of the range (default: 0)")
-    parser.add_argument("--workloads", nargs="+", choices=list(workloads),
-                        default=list(workloads), metavar="W",
-                        help=f"subset of {list(workloads)} (default: all)")
-    add_jobs_arg(parser)
-    add_dispatch_args(parser)
-    parser.add_argument("--fail-fast", action="store_true",
-                        help="stop dispatching new cases after the first "
-                             "failing case (in-flight cases still finish)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="reuse case records across campaigns via a "
-                             "ResultCache at DIR (hit/miss tally lands in "
-                             "the summary and the --json report)")
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the full campaign report as JSON")
-
-
-def check_campaign_args(parser: argparse.ArgumentParser,
-                        args: argparse.Namespace) -> None:
-    if args.seeds < 1:
-        parser.error(f"--seeds must be >= 1, got {args.seeds}")
-    check_dispatch_args(parser, args)
 
 
 def check_topology_specs(parser: argparse.ArgumentParser, specs,
@@ -190,59 +174,354 @@ def check_topology_specs(parser: argparse.ArgumentParser, specs,
                 parser.error(f"topology {spec!r} at {n} nodes: {err}")
 
 
-# ----------------------------------------------------------------- campaigns
-def _campaign_kind(kind: str):
-    """Late-bound campaign plumbing: (workloads, runner, seeds, blurb)."""
-    if kind == "validate":
-        from repro.validate import FUZZ_WORKLOADS, run_campaign
-        return FUZZ_WORKLOADS, run_campaign, 100, (
-            "Fuzz event schedules and timing knobs over the paper's "
-            "workloads with every DESIGN.md §6 invariant monitor armed.  "
-            "Any failure replays from its (workload, seed) pair alone.")
-    from repro.faults import FAULT_WORKLOADS, run_faults_campaign
-    return FAULT_WORKLOADS, run_faults_campaign, 25, (
+def _source_tag(event) -> str:
+    return "" if event.source == "run" else f" [{event.source}]"
+
+
+# ------------------------------------------------------------------- studies
+class _Study:
+    """One campaign subcommand.
+
+    :func:`_study_main` owns the service flags, the preemption exit, the
+    JSON, cache and tally lines and the exit code.  A study supplies its
+    axis flags (named after its driver's parameters) and their checks,
+    its progress line and its table.
+    """
+
+    #: Module holding the study's ``driver`` function and ``report`` class.
+    module = driver = report = ""
+    #: ``JobSpec.experiment`` of the study's jobs (``jobs resume`` finds
+    #: the study by it).
+    experiment = ""
+    #: What the summary lines call one point, and a passing one.
+    noun, verdict = "points", "clean"
+    description = ""
+
+    def load(self, name: str):
+        import importlib
+
+        return getattr(importlib.import_module(self.module), name)
+
+    def check(self, parser: argparse.ArgumentParser,
+              args: argparse.Namespace) -> None:
+        pass
+
+    def shortcut(self, args: argparse.Namespace):
+        """An exit code when the flags ask for something other than the
+        campaign, else ``None``."""
+        return None
+
+    def tally(self, report) -> int:
+        failed = len(report.failures)
+        print(f"\n{report.total - failed}/{report.total} {self.noun} "
+              f"{self.verdict}" + (f", {failed} FAILED" if failed else ""))
+        return 0 if report.ok else 1
+
+
+class _SeededStudy(_Study):
+    """``validate`` and ``faults``: seeded cases of named workloads."""
+
+    noun = "cases"
+
+    def __init__(self, kind: str, module: str, driver: str, report: str,
+                 workloads: str, seeds_default: int, description: str):
+        self.experiment = kind
+        self.module, self.driver, self.report = module, driver, report
+        self.workloads = workloads
+        self.seeds_default = seeds_default
+        self.description = description
+
+    def add_args(self, parser: argparse.ArgumentParser) -> None:
+        workloads = list(self.load(self.workloads))
+        parser.add_argument("--seeds", type=int, default=self.seeds_default,
+                            metavar="N", help="cases per workload (default: "
+                                              f"{self.seeds_default})")
+        parser.add_argument("--seed-start", type=int, default=0, metavar="S",
+                            help="first seed of the range (default: 0)")
+        parser.add_argument("--workloads", nargs="+", choices=workloads,
+                            default=workloads, metavar="W",
+                            help=f"subset of {workloads} (default: all)")
+        if self.experiment == "faults":
+            parser.add_argument("--degraded", action="store_true",
+                                help="instead of a campaign, run the "
+                                     "degraded-mode study: goodput and "
+                                     "p50/p99 latency per strategy across "
+                                     "loss rates")
+
+    def check(self, parser: argparse.ArgumentParser,
+              args: argparse.Namespace) -> None:
+        if args.seeds < 1:
+            parser.error(f"--seeds must be >= 1, got {args.seeds}")
+
+    def shortcut(self, args: argparse.Namespace):
+        if getattr(args, "degraded", False):
+            from repro.apps.degraded import degraded_report
+
+            degraded_report(jobs=args.jobs)
+            return 0
+        return None
+
+    def progress(self, event) -> None:
+        m = event.record.metrics
+        print(f"[{event.done}/{event.total}] {m['workload']} "
+              f"seed={m['seed']} {'ok' if m['ok'] else 'FAIL'}"
+              f"{_source_tag(event)}", flush=True)
+
+    def render(self, report) -> None:
+        kind = self.experiment
+        for workload, (passed, total) in sorted(report.by_workload().items()):
+            marker = "ok  " if passed == total else "FAIL"
+            print(f"{marker} {workload:<12} {passed}/{total} cases clean")
+        if kind == "faults" and report.gave_up:
+            print(f"note: {len(report.gave_up)} case(s) exhausted the retry "
+                  "budget and died cleanly with TransportError (still a "
+                  "pass)")
+        scenario_key = "knobs" if kind == "validate" else "faults"
+        for record in report.failures:
+            m = record.metrics
+            print(f"\nFAIL {m['workload']} seed={m['seed']} "
+                  f"params={m['inner_params']} {scenario_key}="
+                  f"{m[scenario_key]}")
+            if m["violation"]:
+                v = m["violation"]
+                print(f"  [{v['invariant']}] {v['message']}")
+                for line in v.get("context", ()):
+                    print(f"    {line}")
+            if m["crash"]:
+                print(f"  crash: {m['crash']}")
+            print(f"  replay: python -m repro {kind} --workloads "
+                  f"{m['workload']} --seeds 1 --seed-start {m['seed']}")
+
+
+def _strategies(report):
+    """Strategies in the order the campaign's points list them."""
+    return list(dict.fromkeys(r.params["strategy"] for r in report.records))
+
+
+class _TopoStudy(_Study):
+    module = "repro.apps.topo_scale"
+    driver, report = "run_topo_campaign", "TopoScaleReport"
+    experiment = "collective-zoo"
+    verdict = "verified"
+    description = ("Scale-out study: run the collective schedule zoo "
+                   "across datacenter topologies and node counts, "
+                   "verifying every point against the NumPy schedule "
+                   "oracle and reporting GPU-TN speedup over GDS/HDN.")
+
+    def add_args(self, parser: argparse.ArgumentParser) -> None:
+        from repro.apps.topo_scale import (TOPO_SCHEDULES, TOPO_STRATEGIES,
+                                           TOPO_TOPOLOGIES)
+        from repro.collectives.algorithms import SCHEDULE_BUILDERS
+
+        parser.add_argument("--topologies", nargs="+", metavar="T",
+                            default=list(TOPO_TOPOLOGIES),
+                            help="topology spec strings, e.g. star "
+                                 "fat-tree:k=4 torus:8x8 dragonfly "
+                                 f"(default: {list(TOPO_TOPOLOGIES)})")
+        parser.add_argument("--schedules", nargs="+", metavar="S",
+                            choices=sorted(SCHEDULE_BUILDERS),
+                            default=list(TOPO_SCHEDULES),
+                            help=f"subset of {sorted(SCHEDULE_BUILDERS)} "
+                                 "(default: all)")
+        parser.add_argument("--strategies", nargs="+", metavar="B",
+                            choices=["cpu", "hdn", "gds", "gputn"],
+                            default=list(TOPO_STRATEGIES),
+                            help="backends to compare (default: gputn gds "
+                                 "hdn)")
+        parser.add_argument("--nodes", nargs="+", type=int, default=[16, 64],
+                            dest="node_counts", metavar="N",
+                            help="node counts (default: 16 64)")
+        parser.add_argument("--nbytes", type=int, default=64 * 1024,
+                            metavar="B",
+                            help="payload bytes, padded to whole float32 "
+                                 "chunks (default: 65536)")
+        parser.add_argument("--seed", type=int, default=11,
+                            help="data seed (default: 11)")
+
+    def check(self, parser: argparse.ArgumentParser,
+              args: argparse.Namespace) -> None:
+        if any(n < 2 for n in args.node_counts):
+            parser.error("--nodes entries must be >= 2")
+        check_topology_specs(parser, args.topologies, args.node_counts)
+
+    def progress(self, event) -> None:
+        p, m = event.record.params, event.record.metrics
+        print(f"[{event.done}/{event.total}] {p['topology']} {p['schedule']} "
+              f"{p['strategy']} n={p['n_nodes']} {m['total_ns']}ns "
+              f"{'ok' if m['correct'] else 'FAIL'}{_source_tag(event)}",
+              flush=True)
+
+    def render(self, report) -> None:
+        strategies = _strategies(report)
+        cases = report.by_case()
+        speedups = report.speedups()
+        print(f"{'topology':<16} {'schedule':<20} {'n':>4}  "
+              + "".join(f"{s:>12}" for s in strategies)
+              + "  gputn speedup")
+        for key in sorted(cases):
+            topo, sched, n = key
+            times = cases[key]
+            cols = "".join(f"{times.get(s, '-'):>12}" for s in strategies)
+            sp = speedups.get(key, {})
+            sp_txt = " ".join(f"{s}:{v:.2f}x" for s, v in sorted(sp.items()))
+            print(f"{topo:<16} {sched:<20} {n:>4}  {cols}  {sp_txt}")
+        for r in report.failures:
+            p = r.params
+            print(f"\nFAIL {p['topology']} {p['schedule']} {p['strategy']} "
+                  f"n={p['n_nodes']}: result diverged from the NumPy oracle")
+
+
+class _CongestionStudy(_Study):
+    module = "repro.apps.congestion"
+    driver, report = "run_congestion_campaign", "CongestionReport"
+    experiment = "congestion"
+    description = ("Under-load study: sweep background load x switch-queue "
+                   "discipline x ARQ transport x initiation strategy on a "
+                   "congested fat tree, reporting foreground goodput and "
+                   "p50/p99 latency with the packet-conservation and "
+                   "exactly-once monitors armed at every point.")
+
+    def add_args(self, parser: argparse.ArgumentParser) -> None:
+        from repro.apps.congestion import (CONGESTION_DISCIPLINES,
+                                           CONGESTION_LOADS,
+                                           CONGESTION_STRATEGIES,
+                                           CONGESTION_TRANSPORTS)
+
+        parser.add_argument("--loads", nargs="+", type=float, metavar="L",
+                            default=list(CONGESTION_LOADS),
+                            help="background load per node as a fraction "
+                                 "of link rate (default: "
+                                 f"{list(CONGESTION_LOADS)})")
+        parser.add_argument("--disciplines", nargs="+", metavar="D",
+                            choices=["drop-tail", "red", "red-ecn", "none"],
+                            default=list(CONGESTION_DISCIPLINES),
+                            help="switch-queue disciplines (default: "
+                                 f"{list(CONGESTION_DISCIPLINES)})")
+        parser.add_argument("--transports", nargs="+", metavar="T",
+                            choices=["go-back-n", "selective-repeat"],
+                            default=list(CONGESTION_TRANSPORTS),
+                            help="ARQ engines (selective-repeat pairs with "
+                                 "AIMD pacing; default: "
+                                 f"{list(CONGESTION_TRANSPORTS)})")
+        parser.add_argument("--strategies", nargs="+", metavar="B",
+                            choices=["hdn", "gds", "gputn"],
+                            default=list(CONGESTION_STRATEGIES),
+                            help="initiation strategies to compare "
+                                 f"(default: {list(CONGESTION_STRATEGIES)})")
+        parser.add_argument("--topology", default="fat-tree:k=4",
+                            metavar="SPEC",
+                            help="topology spec string (default: "
+                                 "fat-tree:k=4)")
+        parser.add_argument("--nodes", type=int, default=16, dest="n_nodes",
+                            metavar="N", help="cluster size (default: 16)")
+        parser.add_argument("--messages", type=int, default=32, metavar="M",
+                            help="foreground messages per point (default: "
+                                 "32)")
+        parser.add_argument("--nbytes", type=int, default=1024, metavar="B",
+                            help="foreground message size (default: 1024)")
+        parser.add_argument("--bg-horizon-ns", type=int, default=120_000,
+                            metavar="NS",
+                            help="background-traffic generation horizon "
+                                 "(default: 120000)")
+        parser.add_argument("--seed", type=int, default=0,
+                            help="traffic/RED seed (default: 0)")
+
+    def check(self, parser: argparse.ArgumentParser,
+              args: argparse.Namespace) -> None:
+        if args.n_nodes < 2:
+            parser.error(f"--nodes must be >= 2, got {args.n_nodes}")
+        if args.messages < 1:
+            parser.error(f"--messages must be >= 1, got {args.messages}")
+        if any(load < 0 for load in args.loads):
+            parser.error("--loads entries must be >= 0")
+        check_topology_specs(parser, [args.topology], [args.n_nodes])
+
+    def progress(self, event) -> None:
+        p, m = event.record.params, event.record.metrics
+        print(f"[{event.done}/{event.total}] load={p['load']} "
+              f"{p['discipline']} {p['transport']} {p['strategy']} "
+              f"p99={m['p99_latency_ns']}ns {'ok' if m['ok'] else 'FAIL'}"
+              f"{_source_tag(event)}", flush=True)
+
+    def render(self, report) -> None:
+        strategies = _strategies(report)
+        cases = report.by_case()
+        print(f"{'load':>5} {'discipline':<11} {'transport':<17}  "
+              + "".join(f"{s + ' p99':>13}" for s in strategies)
+              + "  goodput(B/us)")
+        for key in sorted(cases):
+            load, disc, transport = key
+            per_strategy = cases[key]
+            cols = "".join(
+                f"{per_strategy[s]['p99_latency_ns'] if s in per_strategy else '-':>13}"
+                for s in strategies)
+            good = " ".join(
+                f"{s}:{m['goodput_bytes_per_us']}"
+                for s, m in sorted(per_strategy.items()))
+            print(f"{load:>5} {disc:<11} {transport:<17}  {cols}  {good}")
+        for r in report.failures:
+            p, m = r.params, r.metrics
+            why = ("gave up" if m["gave_up"] else
+                   "; ".join(v["invariant"] for v in m["violations"])
+                   or f"delivered {m['delivered']}/{m['requested']}")
+            print(f"\nFAIL load={p['load']} {p['discipline']} "
+                  f"{p['transport']} {p['strategy']}: {why}")
+
+
+class _PlainJob(_Study):
+    """What ``jobs resume`` does for a job no study owns (a bench run or
+    a plain sweep): run it and count its points."""
+
+    module, report = "repro.service", "CampaignReport"
+
+    def __init__(self, total: int):
+        self.total = total
+
+    def progress(self, event) -> None:
+        print(f"[{event.done}/{event.total}] {event.record.experiment}"
+              f"[{event.index}] done{_source_tag(event)}", flush=True)
+
+    def render(self, report) -> None:
+        pass
+
+    def tally(self, report) -> int:
+        print(f"{report.total}/{self.total} points complete")
+        return 0
+
+
+#: Campaign subcommand -> study.
+_STUDIES = {
+    "validate": _SeededStudy(
+        "validate", "repro.validate.fuzz", "run_campaign", "FuzzReport",
+        "FUZZ_WORKLOADS", 100,
+        "Fuzz event schedules and timing knobs over the paper's "
+        "workloads with every DESIGN.md §6 invariant monitor armed.  "
+        "Any failure replays from its (workload, seed) pair alone."),
+    "faults": _SeededStudy(
+        "faults", "repro.faults.campaign", "run_faults_campaign",
+        "FaultsReport", "FAULT_WORKLOADS", 25,
         "Run seeded fault-injection campaigns: per-seed "
         "drop/corruption/jitter/flap/stall scenarios on the fabric, the "
         "go-back-N reliable transport armed on every NIC, and all "
         "invariant monitors (including reliable-delivery) watching.  "
-        "Any failure replays from its (workload, seed) pair alone.")
+        "Any failure replays from its (workload, seed) pair alone."),
+    "topo": _TopoStudy(),
+    "congestion": _CongestionStudy(),
+}
 
 
-def _campaign_progress(event) -> None:
-    """One line per resolved case, streamed as the service reports it."""
-    m = event.record.metrics
-    if "workload" in m and "seed" in m:
-        what = f"{m['workload']} seed={m['seed']}"
-        marker = "ok" if m.get("ok") else "FAIL"
-    else:
-        what = f"{event.record.experiment}[{event.index}]"
-        marker = "done"
-    src = "" if event.source == "run" else f" [{event.source}]"
-    print(f"[{event.done}/{event.total}] {what} {marker}{src}", flush=True)
+def _finish(study: _Study, run, json_path=None) -> int:
+    """Run a campaign (``run()`` returns its report) and print it."""
+    from repro.service import JobPreempted
 
-
-def _print_campaign_report(kind: str, report, json_path=None) -> int:
-    """Shared summary/failure/json rendering for both campaign kinds."""
-    for workload, (passed, total) in sorted(report.by_workload().items()):
-        marker = "ok  " if passed == total else "FAIL"
-        print(f"{marker} {workload:<12} {passed}/{total} cases clean")
-    if kind == "faults" and report.gave_up:
-        print(f"note: {len(report.gave_up)} case(s) exhausted the retry "
-              "budget and died cleanly with TransportError (still a pass)")
-    scenario_key = "knobs" if kind == "validate" else "faults"
-    for record in report.failures:
-        m = record.metrics
-        print(f"\nFAIL {m['workload']} seed={m['seed']} "
-              f"params={m['inner_params']} {scenario_key}={m[scenario_key]}")
-        if m["violation"]:
-            v = m["violation"]
-            print(f"  [{v['invariant']}] {v['message']}")
-            for line in v.get("context", ()):
-                print(f"    {line}")
-        if m["crash"]:
-            print(f"  crash: {m['crash']}")
-        print(f"  replay: python -m repro {kind} --workloads "
-              f"{m['workload']} --seeds 1 --seed-start {m['seed']}")
+    try:
+        report = run()
+    except JobPreempted as preempt:
+        print(f"\npreempted at {preempt.done}/{preempt.total} {study.noun}; "
+              f"resume with: python -m repro jobs resume {preempt.job_id}",
+              flush=True)
+        return 130
+    study.render(report)
     if json_path:
         import json
 
@@ -252,61 +531,43 @@ def _print_campaign_report(kind: str, report, json_path=None) -> int:
     if report.cache_stats is not None:
         print(f"\ncache: {report.cache_stats['hits']} hits, "
               f"{report.cache_stats['misses']} misses")
-    total_failed = len(report.failures)
-    print(f"\n{report.total - total_failed}/{report.total} cases clean"
-          + (f", {total_failed} FAILED" if total_failed else ""))
-    return 0 if report.ok else 1
+    return study.tally(report)
 
 
-def _campaign_main(kind: str, argv, store=None, echo: bool = False) -> int:
-    workloads, runner, seeds_default, description = _campaign_kind(kind)
-    parser = argparse.ArgumentParser(prog=f"python -m repro {kind}",
-                                     description=description)
-    add_campaign_args(parser, workloads=workloads,
-                      seeds_default=seeds_default)
-    if kind == "faults":
-        parser.add_argument("--degraded", action="store_true",
-                            help="instead of a campaign, run the "
-                                 "degraded-mode study: goodput and p50/p99 "
-                                 "latency per strategy across loss rates")
+def _study_main(name: str, argv, store=None, echo: bool = False) -> int:
+    study = _STUDIES[name]
+    parser = argparse.ArgumentParser(prog=f"python -m repro {name}",
+                                     description=study.description)
+    study.add_args(parser)
+    add_service_args(parser, study.noun)
     args = parser.parse_args(argv)
-    check_campaign_args(parser, args)
-
-    if kind == "faults" and args.degraded:
-        from repro.apps.degraded import degraded_report
-
-        degraded_report(jobs=args.jobs)
-        return 0
-
-    from repro.service import JobPreempted
-
+    check_service_args(parser, args)
+    study.check(parser, args)
+    code = study.shortcut(args)
+    if code is not None:
+        return code
+    # The axis flags are named after the driver's parameters.
+    driver = study.load(study.driver)
+    params = inspect.signature(driver).parameters
+    axes = {k: v for k, v in vars(args).items() if k in params}
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    try:
-        report = runner(workloads=args.workloads, seeds=args.seeds,
-                        seed_start=args.seed_start, jobs=args.jobs,
-                        fail_fast=args.fail_fast, cache=cache, store=store,
-                        progress=_campaign_progress if echo else None,
-                        listen=args.listen,
-                        priority=args.priority, window=args.window)
-    except JobPreempted as preempt:
-        print(f"\npreempted at {preempt.done}/{preempt.total} cases; resume "
-              f"with: python -m repro jobs resume {preempt.job_id}",
-              flush=True)
-        return 130
-    return _print_campaign_report(kind, report, args.json)
+    return _finish(study, lambda: driver(
+        **axes, cache=cache, store=store,
+        progress=study.progress if echo else None), args.json)
 
 
 # ---------------------------------------------------------------------- jobs
 def _jobs_main(argv) -> int:
-    from repro.service import Job, JobPreempted, JobStore, SubmitThrottled
+    from repro.service import Job, JobStore, run_job
 
     commands = ("submit", "status", "list", "resume", "cancel")
     if not argv or argv[0] not in commands:
         print(f"usage: python -m repro jobs {{{','.join(commands)}}} ...\n"
-              "  submit {validate,faults,topo,congestion} [--store DIR] "
+              f"  submit {{{','.join(_STUDIES)}}} [--store DIR] "
               "[campaign args]\n"
               "  status [JOB_ID] [--store DIR] [--json]\n"
-              "  resume JOB_ID [--store DIR] [-j N] [--json FILE]\n"
+              "  resume JOB_ID [--store DIR] [-j N] [--listen ADDR] "
+              "[--json FILE]\n"
               "  cancel JOB_ID [--store DIR]",
               file=sys.stderr)
         return 2
@@ -338,34 +599,13 @@ def _jobs_main(argv) -> int:
                         "completed case lands in the job store, so a killed "
                         "or preempted campaign resumes from where it "
                         "stopped.")
-        parser.add_argument("kind", choices=["validate", "faults", "topo",
-                                             "congestion"])
+        parser.add_argument("kind", choices=list(_STUDIES))
         parser.add_argument("--store", metavar="DIR", default=None,
                             help="job store root (default: .repro-jobs, or "
                                  "$REPRO_JOBS_DIR)")
-        parser.add_argument("--max-active", type=int, default=None,
-                            metavar="N",
-                            help="backpressure: reject this submission (exit "
-                                 "75) if N jobs are already running in the "
-                                 "store")
-        parser.add_argument("--min-submit-interval", type=float, default=0.0,
-                            metavar="SECONDS",
-                            help="backpressure: reject this submission (exit "
-                                 "75) if a new job was submitted to the "
-                                 "store less than SECONDS ago")
         args, campaign_argv = parser.parse_known_args(rest)
-        store = JobStore(args.store, max_active=args.max_active,
-                         min_interval_s=args.min_submit_interval)
-        try:
-            if args.kind == "topo":
-                return _topo_main(campaign_argv, store=store, echo=True)
-            if args.kind == "congestion":
-                return _congestion_main(campaign_argv, store=store, echo=True)
-            return _campaign_main(args.kind, campaign_argv,
-                                  store=store, echo=True)
-        except SubmitThrottled as throttled:
-            print(f"submission rejected: {throttled}", file=sys.stderr)
-            return 75  # EX_TEMPFAIL: retry later
+        return _study_main(args.kind, campaign_argv,
+                           store=JobStore(args.store), echo=True)
 
     if command in ("status", "list"):
         parser = argparse.ArgumentParser(
@@ -407,49 +647,38 @@ def _jobs_main(argv) -> int:
     # resume
     parser = argparse.ArgumentParser(
         prog="python -m repro jobs resume",
-        description="Continue a stored job: journaled cases replay for "
-                    "free, only the holes execute.")
+        description="Continue a stored job: journaled points replay for "
+                    "free, only the holes execute, and the job's study "
+                    "prints the same report (and --json file and exit "
+                    "code) as its submission.")
     parser.add_argument("job_id")
     parser.add_argument("--store", metavar="DIR", default=None)
-    add_jobs_arg(parser)
-    add_dispatch_args(parser)
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the campaign report as JSON")
+    add_service_args(parser, "points", submit=False)
     args = parser.parse_args(rest)
-    check_dispatch_args(parser, args)
+    check_service_args(parser, args)
     store = JobStore(args.store)
     try:
         job = Job.load(store, args.job_id)
     except KeyError as missing:
         print(missing.args[0], file=sys.stderr)
         return 1
-    job.priority = args.priority
-    if args.listen is not None:
-        host, port = job.listen(args.listen)
-        print(f"job {job.id} listening on {host}:{port} -- join with: "
-              f"python -m repro worker serve --connect {host}:{port}",
-              flush=True)
-    try:
-        records = job.run(jobs=args.jobs, progress=_campaign_progress,
-                          window=args.window)
-    except JobPreempted as preempt:
-        print(f"\npreempted at {preempt.done}/{preempt.total} cases; resume "
-              f"with: python -m repro jobs resume {preempt.job_id}",
-              flush=True)
-        return 130
-    done = [r for r in records if r is not None]
-    print(f"\njob {job.id} {job.status()['status']}: "
-          f"{job.stats['journal']} journaled, {job.stats['cache']} cached, "
-          f"{job.stats['run']} ran")
-    kind = job.spec.experiment
-    if kind in ("validate", "faults"):
-        if kind == "validate":
-            from repro.validate.fuzz import FuzzReport as Report
-        else:
-            from repro.faults.campaign import FaultsReport as Report
-        return _print_campaign_report(kind, Report(records=done), args.json)
-    print(f"{len(done)}/{len(records)} points complete")
-    return 0
+    study = next((s for s in _STUDIES.values()
+                  if s.experiment == job.spec.experiment), None)
+    if study is None:
+        if args.json:
+            parser.error(f"job {job.id} ({job.spec.experiment}) is not a "
+                         f"campaign of {list(_STUDIES)}; it has no report "
+                         "for --json")
+        study = _PlainJob(len(job.spec.points))
+
+    def run():
+        report = run_job(job, report=study.load(study.report), jobs=args.jobs,
+                         progress=study.progress, listen=args.listen)
+        print(f"\njob {job.id} {job.status()['status']}: "
+              f"{job.stats['journal']} journaled, {job.stats['cache']} "
+              f"cached, {job.stats['run']} ran")
+        return report
+    return _finish(study, run, args.json)
 
 
 # --------------------------------------------------------------------- worker
@@ -487,244 +716,6 @@ def _worker_cli(argv) -> int:
 
     return serve_worker(args.connect, store=args.store, retry_s=args.retry,
                         once=args.once, log=log)
-
-
-# ----------------------------------------------------------------- topo
-def _topo_progress(event) -> None:
-    p = event.record.params
-    marker = "ok" if event.record.metrics["correct"] else "FAIL"
-    src = "" if event.source == "run" else f" [{event.source}]"
-    print(f"[{event.done}/{event.total}] {p['topology']} {p['schedule']} "
-          f"{p['strategy']} n={p['n_nodes']} "
-          f"{event.record.metrics['total_ns']}ns {marker}{src}", flush=True)
-
-
-def _topo_main(argv, store=None, echo: bool = False) -> int:
-    from repro.apps.topo_scale import (TOPO_SCHEDULES, TOPO_STRATEGIES,
-                                       TOPO_TOPOLOGIES, run_topo_campaign)
-    from repro.collectives.algorithms import SCHEDULE_BUILDERS
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro topo",
-        description="Scale-out study: run the collective schedule zoo "
-                    "across datacenter topologies and node counts, "
-                    "verifying every point against the NumPy schedule "
-                    "oracle and reporting GPU-TN speedup over GDS/HDN.")
-    parser.add_argument("--topologies", nargs="+", metavar="T",
-                        default=list(TOPO_TOPOLOGIES),
-                        help="topology spec strings, e.g. star fat-tree:k=4 "
-                             f"torus:8x8 dragonfly (default: "
-                             f"{list(TOPO_TOPOLOGIES)})")
-    parser.add_argument("--schedules", nargs="+", metavar="S",
-                        choices=sorted(SCHEDULE_BUILDERS),
-                        default=list(TOPO_SCHEDULES),
-                        help=f"subset of {sorted(SCHEDULE_BUILDERS)} "
-                             "(default: all)")
-    parser.add_argument("--strategies", nargs="+", metavar="B",
-                        choices=["cpu", "hdn", "gds", "gputn"],
-                        default=list(TOPO_STRATEGIES),
-                        help="backends to compare (default: gputn gds hdn)")
-    parser.add_argument("--nodes", nargs="+", type=int, default=[16, 64],
-                        metavar="N", help="node counts (default: 16 64)")
-    parser.add_argument("--nbytes", type=int, default=64 * 1024, metavar="B",
-                        help="payload bytes, padded to whole float32 chunks "
-                             "(default: 65536)")
-    parser.add_argument("--seed", type=int, default=11,
-                        help="data seed (default: 11)")
-    add_jobs_arg(parser)
-    add_dispatch_args(parser)
-    parser.add_argument("--fail-fast", action="store_true",
-                        help="stop dispatching new points after the first "
-                             "oracle mismatch")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="reuse point records across campaigns via a "
-                             "ResultCache at DIR")
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the full report as JSON")
-    args = parser.parse_args(argv)
-    check_dispatch_args(parser, args)
-    if any(n < 2 for n in args.nodes):
-        parser.error("--nodes entries must be >= 2")
-    check_topology_specs(parser, args.topologies, args.nodes)
-
-    from repro.service import JobPreempted
-
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    try:
-        report = run_topo_campaign(
-            topologies=args.topologies, schedules=args.schedules,
-            strategies=args.strategies, node_counts=args.nodes,
-            nbytes=args.nbytes, seed=args.seed, jobs=args.jobs,
-            fail_fast=args.fail_fast, cache=cache, store=store,
-            progress=_topo_progress if echo else None,
-            listen=args.listen, priority=args.priority, window=args.window)
-    except JobPreempted as preempt:
-        print(f"\npreempted at {preempt.done}/{preempt.total} points; resume "
-              f"with: python -m repro jobs resume {preempt.job_id}",
-              flush=True)
-        return 130
-
-    cases = report.by_case()
-    speedups = report.speedups()
-    print(f"{'topology':<16} {'schedule':<20} {'n':>4}  "
-          + "".join(f"{s:>12}" for s in args.strategies)
-          + "  gputn speedup")
-    for key in sorted(cases):
-        topo, sched, n = key
-        times = cases[key]
-        cols = "".join(f"{times.get(s, '-'):>12}" for s in args.strategies)
-        sp = speedups.get(key, {})
-        sp_txt = " ".join(f"{s}:{v:.2f}x" for s, v in sorted(sp.items()))
-        print(f"{topo:<16} {sched:<20} {n:>4}  {cols}  {sp_txt}")
-    for r in report.failures:
-        p = r.params
-        print(f"\nFAIL {p['topology']} {p['schedule']} {p['strategy']} "
-              f"n={p['n_nodes']}: result diverged from the NumPy oracle")
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"\nreport written to {args.json}")
-    if report.cache_stats is not None:
-        print(f"\ncache: {report.cache_stats['hits']} hits, "
-              f"{report.cache_stats['misses']} misses")
-    failed = len(report.failures)
-    print(f"\n{report.total - failed}/{report.total} points verified"
-          + (f", {failed} FAILED" if failed else ""))
-    return 0 if report.ok else 1
-
-
-# ------------------------------------------------------------- congestion
-def _congestion_progress(event) -> None:
-    p = event.record.params
-    m = event.record.metrics
-    marker = "ok" if m["ok"] else "FAIL"
-    src = "" if event.source == "run" else f" [{event.source}]"
-    print(f"[{event.done}/{event.total}] load={p['load']} "
-          f"{p['discipline']} {p['transport']} {p['strategy']} "
-          f"p99={m['p99_latency_ns']}ns {marker}{src}", flush=True)
-
-
-def _congestion_main(argv, store=None, echo: bool = False) -> int:
-    from repro.apps.congestion import (CONGESTION_DISCIPLINES,
-                                       CONGESTION_LOADS,
-                                       CONGESTION_STRATEGIES,
-                                       CONGESTION_TRANSPORTS,
-                                       run_congestion_campaign)
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro congestion",
-        description="Under-load study: sweep background load x switch-queue "
-                    "discipline x ARQ transport x initiation strategy on a "
-                    "congested fat tree, reporting foreground goodput and "
-                    "p50/p99 latency with the packet-conservation and "
-                    "exactly-once monitors armed at every point.")
-    parser.add_argument("--loads", nargs="+", type=float, metavar="L",
-                        default=list(CONGESTION_LOADS),
-                        help="background load per node as a fraction of "
-                             f"link rate (default: {list(CONGESTION_LOADS)})")
-    parser.add_argument("--disciplines", nargs="+", metavar="D",
-                        choices=["drop-tail", "red", "red-ecn", "none"],
-                        default=list(CONGESTION_DISCIPLINES),
-                        help="switch-queue disciplines (default: "
-                             f"{list(CONGESTION_DISCIPLINES)})")
-    parser.add_argument("--transports", nargs="+", metavar="T",
-                        choices=["go-back-n", "selective-repeat"],
-                        default=list(CONGESTION_TRANSPORTS),
-                        help="ARQ engines (selective-repeat pairs with AIMD "
-                             f"pacing; default: {list(CONGESTION_TRANSPORTS)})")
-    parser.add_argument("--strategies", nargs="+", metavar="B",
-                        choices=["hdn", "gds", "gputn"],
-                        default=list(CONGESTION_STRATEGIES),
-                        help="initiation strategies to compare (default: "
-                             f"{list(CONGESTION_STRATEGIES)})")
-    parser.add_argument("--topology", default="fat-tree:k=4", metavar="SPEC",
-                        help="topology spec string (default: fat-tree:k=4)")
-    parser.add_argument("--nodes", type=int, default=16, metavar="N",
-                        help="cluster size (default: 16)")
-    parser.add_argument("--messages", type=int, default=32, metavar="M",
-                        help="foreground messages per point (default: 32)")
-    parser.add_argument("--nbytes", type=int, default=1024, metavar="B",
-                        help="foreground message size (default: 1024)")
-    parser.add_argument("--bg-horizon-ns", type=int, default=120_000,
-                        metavar="NS",
-                        help="background-traffic generation horizon "
-                             "(default: 120000)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="traffic/RED seed (default: 0)")
-    add_jobs_arg(parser)
-    add_dispatch_args(parser)
-    parser.add_argument("--fail-fast", action="store_true",
-                        help="stop dispatching new points after the first "
-                             "monitor violation or give-up")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="reuse point records across campaigns via a "
-                             "ResultCache at DIR")
-    parser.add_argument("--json", metavar="FILE", default=None,
-                        help="write the full report as JSON")
-    args = parser.parse_args(argv)
-    check_dispatch_args(parser, args)
-    if args.nodes < 2:
-        parser.error(f"--nodes must be >= 2, got {args.nodes}")
-    if args.messages < 1:
-        parser.error(f"--messages must be >= 1, got {args.messages}")
-    if any(load < 0 for load in args.loads):
-        parser.error("--loads entries must be >= 0")
-    check_topology_specs(parser, [args.topology], [args.nodes])
-
-    from repro.service import JobPreempted
-
-    cache = ResultCache(args.cache_dir) if args.cache_dir else None
-    try:
-        report = run_congestion_campaign(
-            loads=args.loads, disciplines=args.disciplines,
-            transports=args.transports, strategies=args.strategies,
-            topology=args.topology, n_nodes=args.nodes,
-            messages=args.messages, nbytes=args.nbytes,
-            bg_horizon_ns=args.bg_horizon_ns, seed=args.seed,
-            jobs=args.jobs, fail_fast=args.fail_fast, cache=cache,
-            store=store, progress=_congestion_progress if echo else None,
-            listen=args.listen, priority=args.priority, window=args.window)
-    except JobPreempted as preempt:
-        print(f"\npreempted at {preempt.done}/{preempt.total} points; resume "
-              f"with: python -m repro jobs resume {preempt.job_id}",
-              flush=True)
-        return 130
-
-    print(f"{'load':>5} {'discipline':<11} {'transport':<17}  "
-          + "".join(f"{s + ' p99':>13}" for s in args.strategies)
-          + "  goodput(B/us)")
-    for key in sorted(report.by_case()):
-        load, disc, transport = key
-        per_strategy = report.by_case()[key]
-        cols = "".join(
-            f"{per_strategy[s]['p99_latency_ns'] if s in per_strategy else '-':>13}"
-            for s in args.strategies)
-        good = " ".join(
-            f"{s}:{m['goodput_bytes_per_us']}"
-            for s, m in sorted(per_strategy.items()))
-        print(f"{load:>5} {disc:<11} {transport:<17}  {cols}  {good}")
-    for r in report.failures:
-        p, m = r.params, r.metrics
-        why = ("gave up" if m["gave_up"] else
-               "; ".join(v["invariant"] for v in m["violations"])
-               or f"delivered {m['delivered']}/{m['requested']}")
-        print(f"\nFAIL load={p['load']} {p['discipline']} {p['transport']} "
-              f"{p['strategy']}: {why}")
-    if args.json:
-        import json
-
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"\nreport written to {args.json}")
-    if report.cache_stats is not None:
-        print(f"\ncache: {report.cache_stats['hits']} hits, "
-              f"{report.cache_stats['misses']} misses")
-    failed = len(report.failures)
-    print(f"\n{report.total - failed}/{report.total} points clean"
-          + (f", {failed} FAILED" if failed else ""))
-    return 0 if report.ok else 1
 
 
 def _stats_workloads():
@@ -879,14 +870,10 @@ def _stats_main(argv) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv[:1] == ["validate"]:
-        return _campaign_main("validate", argv[1:])
-    if argv[:1] == ["faults"]:
-        return _campaign_main("faults", argv[1:])
-    if argv[:1] == ["topo"]:
-        return _topo_main(argv[1:], echo=True)
-    if argv[:1] == ["congestion"]:
-        return _congestion_main(argv[1:], echo=True)
+    if argv[:1] in (["validate"], ["faults"]):
+        return _study_main(argv[0], argv[1:])
+    if argv[:1] in (["topo"], ["congestion"]):
+        return _study_main(argv[0], argv[1:], echo=True)
     if argv[:1] == ["jobs"]:
         return _jobs_main(argv[1:])
     if argv[:1] == ["worker"]:

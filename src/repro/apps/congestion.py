@@ -29,7 +29,6 @@ AIMD pacing) x strategy (hdn / gds / gputn), run as one service-layer
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,7 +36,8 @@ import numpy as np
 from repro.cluster import Cluster
 from repro.config import KB, QueueConfig, ReliabilityConfig, SystemConfig
 from repro.nic.transport import TransportError
-from repro.runtime import Experiment, Sweep
+from repro.runtime import Experiment
+from repro.service import campaign
 from repro.sim import AnyOf
 from repro.strategies import get_flow
 from repro.validate.monitors import (PacketConservationMonitor,
@@ -260,24 +260,8 @@ class CongestionExperiment(Experiment):
         return metrics, dict(outcome)
 
 
-@dataclass
-class CongestionReport:
+class CongestionReport(campaign.CampaignReport):
     """All RunRecords of one congestion campaign plus summary accessors."""
-
-    records: List[Any] = field(default_factory=list)
-    cache_stats: Optional[Dict[str, int]] = None
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
-    @property
-    def failures(self) -> List[Any]:
-        return [r for r in self.records if not r.metrics["ok"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
     def by_case(self) -> Dict[Tuple[float, str, str], Dict[str, Any]]:
         """(load, discipline, transport) -> {strategy: metrics}."""
@@ -320,19 +304,13 @@ def run_congestion_campaign(loads: Sequence[float] = CONGESTION_LOADS,
                             cache: Optional[Any] = None,
                             store: Optional[Any] = None,
                             progress: Optional[Any] = None,
-                            listen: Optional[Any] = None, priority: int = 0,
-                            window: Optional[int] = None
+                            listen: Optional[Any] = None
                             ) -> CongestionReport:
     """The full load x discipline x transport x strategy grid as one
-    service-layer job (same contract as the topo/faults campaigns:
-    journaled via ``store``, cached via ``cache`` -- a ResultCache,
-    bare CacheBackend, or root path -- streamed through ``progress``,
-    cooperatively cancelled on ``fail_fast``; ``listen``/``priority``/
-    ``window`` feed the remote-worker dispatcher)."""
-    from repro.service.backends import as_result_cache
-    from repro.service.job import Job
-
-    cache = as_result_cache(cache)
+    :func:`repro.service.run_campaign` (journaled via ``store``, cached
+    via ``cache``, streamed through ``progress``, cancelled on the first
+    monitor violation or give-up with ``fail_fast``, open to remote
+    workers via ``listen``)."""
     points = [{"strategy": s, "transport": t, "discipline": d, "load": load,
                "topology": topology, "n_nodes": n_nodes, "messages": messages,
                "nbytes": nbytes, "bg_horizon_ns": bg_horizon_ns, "seed": seed}
@@ -342,22 +320,7 @@ def run_congestion_campaign(loads: Sequence[float] = CONGESTION_LOADS,
               for s in strategies]
     if not points:
         raise ValueError("empty campaign: no load/discipline/transport axis")
-    job = Job.from_sweep(Sweep(CongestionExperiment(), points=points),
-                         config=config, cache=cache, store=store,
-                         priority=priority)
-    if listen is not None:
-        host, port = job.listen(listen)
-        print(f"job {job.id} listening on {host}:{port} -- join with: "
-              f"python -m repro worker serve --connect {host}:{port}",
-              flush=True)
-
-    def on_point(event) -> None:
-        if progress is not None:
-            progress(event)
-        if fail_fast and not event.record.metrics["ok"]:
-            job.cancel()
-
-    records = job.run(jobs=jobs, progress=on_point, window=window)
-    return CongestionReport(
-        records=[r for r in records if r is not None],
-        cache_stats=cache.stats() if cache is not None else None)
+    return campaign.run_campaign(
+        CongestionExperiment(), points, report=CongestionReport,
+        config=config, jobs=jobs, cache=cache, store=store,
+        progress=progress, listen=listen, fail_fast=fail_fast)

@@ -12,12 +12,11 @@ a sweep that "completes" has also proven every collective correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.collectives.engine import CollectiveExperiment
 from repro.config import SystemConfig
-from repro.runtime import Sweep
+from repro.service import campaign
 
 __all__ = ["TOPO_SCHEDULES", "TOPO_STRATEGIES", "TOPO_TOPOLOGIES",
            "TopoScaleReport", "run_topo_campaign"]
@@ -30,24 +29,10 @@ TOPO_SCHEDULES = ("ring", "recursive-doubling", "halving-doubling",
 TOPO_STRATEGIES = ("gputn", "gds", "hdn")
 
 
-@dataclass
-class TopoScaleReport:
+class TopoScaleReport(campaign.CampaignReport):
     """All RunRecords of one scale campaign plus summary accessors."""
 
-    records: List[Any] = field(default_factory=list)
-    cache_stats: Optional[Dict[str, int]] = None
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
-    @property
-    def failures(self) -> List[Any]:
-        return [r for r in self.records if not r.metrics["correct"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    ok_key = "correct"
 
     def by_case(self) -> Dict[Tuple[str, str, int], Dict[str, int]]:
         """(topology, schedule, n_nodes) -> {strategy: total_ns}."""
@@ -88,23 +73,11 @@ def run_topo_campaign(topologies: Sequence[str] = TOPO_TOPOLOGIES,
                       fail_fast: bool = False, cache: Optional[Any] = None,
                       store: Optional[Any] = None,
                       progress: Optional[Any] = None,
-                      listen: Optional[Any] = None, priority: int = 0,
-                      window: Optional[int] = None) -> TopoScaleReport:
-    """Run the scale grid as one service-layer job (see module docstring).
-
-    Same contract as the validate/faults campaigns: ``store`` journals the
-    job for kill/resume, ``cache`` reuses point records across campaigns
-    (a :class:`~repro.runtime.cache.ResultCache`, a bare
-    :class:`~repro.service.backends.CacheBackend`, or a root path),
-    ``progress`` streams one event per resolved point, and ``fail_fast``
-    cancels cooperatively on the first oracle mismatch.  ``listen`` opens
-    the job to remote workers (port / ``"host:port"``); ``priority`` and
-    ``window`` feed the dispatcher's preemption gate and in-flight cap.
-    """
-    from repro.service.backends import as_result_cache
-    from repro.service.job import Job
-
-    cache = as_result_cache(cache)
+                      listen: Optional[Any] = None) -> TopoScaleReport:
+    """Run the scale grid as one :func:`repro.service.run_campaign`
+    (journaled via ``store``, cached via ``cache``, streamed through
+    ``progress``, cancelled on the first oracle mismatch with
+    ``fail_fast``, open to remote workers via ``listen``)."""
     points = [{"topology": t, "schedule": sch, "strategy": strat,
                "n_nodes": n, "nbytes": nbytes, "seed": seed}
               for t in topologies
@@ -113,22 +86,7 @@ def run_topo_campaign(topologies: Sequence[str] = TOPO_TOPOLOGIES,
               for strat in strategies]
     if not points:
         raise ValueError("empty campaign: no topology/schedule/strategy axis")
-    job = Job.from_sweep(Sweep(CollectiveExperiment(), points=points),
-                         config=config, cache=cache, store=store,
-                         priority=priority)
-    if listen is not None:
-        host, port = job.listen(listen)
-        print(f"job {job.id} listening on {host}:{port} -- join with: "
-              f"python -m repro worker serve --connect {host}:{port}",
-              flush=True)
-
-    def on_point(event) -> None:
-        if progress is not None:
-            progress(event)
-        if fail_fast and not event.record.metrics["correct"]:
-            job.cancel()
-
-    records = job.run(jobs=jobs, progress=on_point, window=window)
-    return TopoScaleReport(
-        records=[r for r in records if r is not None],
-        cache_stats=cache.stats() if cache is not None else None)
+    return campaign.run_campaign(
+        CollectiveExperiment(), points, report=TopoScaleReport,
+        config=config, jobs=jobs, cache=cache, store=store,
+        progress=progress, listen=listen, fail_fast=fail_fast)

@@ -30,7 +30,7 @@ A run ends in one of four ways:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import (FaultConfig, LinkFlap, NicStall, ReliabilityConfig,
@@ -38,7 +38,7 @@ from repro.config import (FaultConfig, LinkFlap, NicStall, ReliabilityConfig,
 from repro.nic.transport import TransportError
 from repro.runtime.experiment import Experiment
 from repro.runtime.record import RunRecord
-from repro.runtime.sweep import Sweep
+from repro.service import campaign
 from repro.sim.rng import RandomStreams
 from repro.validate.monitors import (ReliableDeliveryMonitor, attach_monitors,
                                      default_monitors)
@@ -285,39 +285,12 @@ def _app_ok(inner_metrics: Dict[str, Any]) -> bool:
     return "grid_sha256" in inner_metrics
 
 
-@dataclass
-class FaultsReport:
-    """Outcome of one campaign: per-case records plus failure rollups."""
-
-    records: List[RunRecord] = field(default_factory=list)
-    #: ``{"hits", "misses"}`` of the campaign's ResultCache, or ``None``
-    #: when the campaign ran uncached.
-    cache_stats: Optional[Dict[str, int]] = None
-
-    @property
-    def total(self) -> int:
-        return len(self.records)
-
-    @property
-    def failures(self) -> List[RunRecord]:
-        return [r for r in self.records if not r.metrics["ok"]]
+class FaultsReport(campaign.WorkloadReport):
+    """Outcome of one fault campaign: per-case records plus rollups."""
 
     @property
     def gave_up(self) -> List[RunRecord]:
         return [r for r in self.records if r.metrics["gave_up"]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def by_workload(self) -> Dict[str, Tuple[int, int]]:
-        """``workload -> (passed, total)``."""
-        out: Dict[str, Tuple[int, int]] = {}
-        for r in self.records:
-            w = r.metrics["workload"]
-            passed, total = out.get(w, (0, 0))
-            out[w] = (passed + (1 if r.metrics["ok"] else 0), total + 1)
-        return out
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON report: summary plus one row per case (spans excluded)."""
@@ -348,43 +321,18 @@ def run_faults_campaign(workloads: Sequence[str] = FAULT_WORKLOADS,
                         fail_fast: bool = False, cache: Optional[Any] = None,
                         store: Optional[Any] = None,
                         progress: Optional[Any] = None,
-                        listen: Optional[Any] = None, priority: int = 0,
-                        window: Optional[int] = None) -> FaultsReport:
-    """Run ``seeds`` fault cases per workload, all monitors armed.
-
-    The campaign is one :class:`repro.service.Job`: pass ``store`` (a
-    :class:`~repro.service.store.JobStore` or path) to journal it --
-    killing the campaign then resuming re-runs only incomplete cases --
-    and ``cache`` to reuse case records across campaigns.  ``progress``
-    receives one :class:`~repro.service.job.PointDone` per finished case.
-    With ``fail_fast`` the first failing case cancels the job
-    cooperatively: no new cases are dispatched, in-flight cases still
-    finish, so parallel results stay deterministic.
-    """
+                        listen: Optional[Any] = None) -> FaultsReport:
+    """Run ``seeds`` fault cases per workload, all monitors armed, as one
+    :func:`repro.service.run_campaign` (journaled via ``store``, cached
+    via ``cache``, streamed through ``progress``, cancelled on the first
+    failing case with ``fail_fast``, open to remote workers via
+    ``listen``)."""
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
-    from repro.service.backends import as_result_cache
-    from repro.service.job import Job
-
-    cache = as_result_cache(cache)
     points = [{"workload": w, "seed": s}
               for w in workloads
               for s in range(seed_start, seed_start + seeds)]
-    job = Job.from_sweep(Sweep(FaultsExperiment(), points=points),
-                         config=config, cache=cache, store=store,
-                         priority=priority)
-    if listen is not None:
-        host, port = job.listen(listen)
-        print(f"job {job.id} listening on {host}:{port} -- join with: "
-              f"python -m repro worker serve --connect {host}:{port}",
-              flush=True)
-
-    def on_point(event) -> None:
-        if progress is not None:
-            progress(event)
-        if fail_fast and not event.record.metrics["ok"]:
-            job.cancel()
-
-    records = job.run(jobs=jobs, progress=on_point, window=window)
-    return FaultsReport(records=[r for r in records if r is not None],
-                        cache_stats=cache.stats() if cache is not None else None)
+    return campaign.run_campaign(
+        FaultsExperiment(), points, report=FaultsReport, config=config,
+        jobs=jobs, cache=cache, store=store, progress=progress,
+        listen=listen, fail_fast=fail_fast)

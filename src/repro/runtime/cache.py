@@ -1,4 +1,4 @@
-"""On-disk result cache (a facade over pluggable storage backends).
+"""On-disk result cache.
 
 Keys are ``(code version, experiment name, config hash, sweep point)`` --
 exactly the inputs that determine a simulated result -- so re-rendering a
@@ -9,27 +9,24 @@ misses cleanly.  The config hash is the fingerprint of the point's
 and for the key a lookup probes.  Fingerprints are memoised per frozen
 config section (:func:`~repro.runtime.record.config_fingerprint`), so a
 probe pays for the sections a point replaced, not the whole config
-tree.  Storage lives behind the
-:class:`~repro.service.backends.CacheBackend` protocol: the default
-:class:`~repro.service.backends.LocalDirBackend` stores records as
-canonical JSON, one file per key, fanned into 256 two-hex-digit shards,
-with atomic writes (temp file + rename) so concurrent sweep workers never
-observe torn entries; remote workers swap in a
-:class:`~repro.service.backends.RemoteCacheBackend` that proxies the same
-``get``/``put`` traffic through their job connection.
+tree.  Records are stored as canonical JSON, one file per key, fanned
+into 256 two-hex-digit shards, with atomic writes (temp file + rename)
+so a concurrent reader never observes a torn entry.
 
-:class:`ResultCache` itself owns only the hit/miss tally, so the
-``stats()`` schema campaign summaries report is identical whichever
-backend moves the bytes.
+Campaigns run through :mod:`repro.service` read and write the cache only
+in the submitting process: it probes before dispatch and puts each
+executed record as it journals it, so workers -- local or remote --
+never touch it.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 from pathlib import Path
 from typing import Any, Mapping, Optional, Union
 
-from repro.runtime.record import RunRecord
+from repro.runtime.record import RunRecord, make_cache_key
 from repro.version import __version__
 
 __all__ = ["ResultCache", "default_cache_dir"]
@@ -45,36 +42,35 @@ def default_cache_dir() -> Path:
     return Path(env) if env else Path.cwd() / CACHE_DIR_NAME
 
 
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp file + ``os.replace``, so a
+    reader sees the old file or the new one, never a torn one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
-    """Content-addressed store of :class:`RunRecord` entries.
+    """Content-addressed store of :class:`RunRecord` entries under
+    ``root`` (default: :func:`default_cache_dir`), with a hit/miss tally."""
 
-    ``ResultCache(root=...)`` keeps its historical meaning -- a local
-    sharded directory -- while ``ResultCache(backend=...)`` mounts any
-    :class:`~repro.service.backends.CacheBackend`.  The facade counts
-    hits and misses; the backend only moves records.
-    """
-
-    def __init__(self, root: Union[str, Path, None] = None, *,
-                 backend: Any = None):
-        # Imported lazily: repro.service is a client of the runtime, so
-        # an eager import here would be circular.
-        from repro.service.backends import LocalDirBackend
-
-        if backend is not None and root is not None:
-            raise ValueError("pass root= or backend=, not both")
-        if backend is None:
-            backend = LocalDirBackend(root if root is not None
-                                      else default_cache_dir())
-        self.backend = backend
-        #: Storage directory of a local-dir backend (``None`` for
-        #: backends with no filesystem root, e.g. remote proxies).
-        self.root: Optional[Path] = getattr(backend, "root", None)
+    def __init__(self, root: Union[str, Path, None] = None):
+        self.root = Path(root) if root is not None else default_cache_dir()
         self.hits = 0
         self.misses = 0
 
     # ------------------------------------------------------------------ paths
     def path_for_key(self, key: str) -> Path:
-        return self.backend.path_for_key(key)
+        return self.root / key[:2] / f"{key}.json"
 
     # ----------------------------------------------------------------- lookup
     def get(self, experiment: str, params: Mapping[str, Any],
@@ -85,17 +81,20 @@ class ResultCache:
         Corrupt or unreadable entries count as misses (and are left for
         the next :meth:`put` to overwrite).
         """
-        record = self.backend.get(experiment, params, config_fp, code_version)
-        if record is None:
+        key = make_cache_key(experiment, params, config_fp, code_version)
+        try:
+            record = RunRecord.from_json(self.path_for_key(key).read_text())
+        except (OSError, ValueError, KeyError, TypeError):
             self.misses += 1
             return None
         self.hits += 1
         return record
 
-    def put(self, record: RunRecord) -> Any:
-        """Store a record; returns the backend's handle (entry path for
-        the local-dir backend)."""
-        return self.backend.put(record)
+    def put(self, record: RunRecord) -> Path:
+        """Store a record atomically; returns the entry path."""
+        path = self.path_for_key(record.cache_key())
+        atomic_write(path, record.to_json())
+        return path
 
     def stats(self) -> dict:
         """This object's lookup tally, as reported in sweep/campaign
@@ -104,14 +103,34 @@ class ResultCache:
 
     # ------------------------------------------------------------- housekeeping
     def clear(self) -> int:
-        """Delete every entry; returns the number removed (local-dir
-        backends; see :meth:`LocalDirBackend.clear`)."""
-        return self.backend.clear()
+        """Delete every entry; returns the number removed.
+
+        Also sweeps up orphaned ``*.tmp`` files -- the leftovers of
+        :meth:`put` calls killed between ``mkstemp`` and ``rename``.
+        Orphans do not count toward the return value; they were never
+        entries.
+        """
+        n = 0
+        if not self.root.is_dir():
+            return n
+        for shard in sorted(self.root.iterdir()):
+            if not shard.is_dir():
+                continue
+            for entry in sorted(shard.glob("*.json")):
+                entry.unlink()
+                n += 1
+            for orphan in sorted(shard.glob("*.tmp")):
+                try:
+                    orphan.unlink()
+                except OSError:  # pragma: no cover - racing writer
+                    pass
+        return n
 
     def __len__(self) -> int:
-        return len(self.backend)
+        if not self.root.is_dir():
+            return 0
+        return sum(1 for _ in self.root.glob("*/*.json"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = self.root if self.root is not None else self.backend
-        return (f"<ResultCache {where} "
+        return (f"<ResultCache {self.root} "
                 f"hits={self.hits} misses={self.misses}>")

@@ -10,8 +10,8 @@ the simulator is deterministic pure Python and each point runs in
 isolation, so parallel output is bit-identical to serial.  Points
 already present in the optional
 :class:`~repro.runtime.cache.ResultCache` are not re-run (cache probes
-happen in the calling process, on the caller's cache object; fresh
-records are written through from whichever process ran them).
+happen in the calling process, on the caller's cache object, and so do
+the puts of fresh records).
 
 For resumable, journaled campaigns -- progress streaming, SIGINT/SIGTERM
 preemption, kill -> resume -- use :class:`repro.service.Job` directly

@@ -13,59 +13,55 @@ points that never finished.
   tolerated);
 * :class:`~repro.service.queue.WorkQueue` -- one bounded-window
   dispatcher over forked local workers *and* TCP-connected remote
-  workers, with point-granularity priorities
-  (:class:`~repro.service.queue.PriorityGate`) and exactly-once reissue
-  of a dead worker's in-flight points;
+  workers, with exactly-once reissue of a dead worker's in-flight
+  points;
 * :mod:`repro.service.remote` -- the framed remote-worker protocol
   (DESIGN.md §13): :class:`~repro.service.remote.RemoteDispatcher` on
   the submitting side, :func:`~repro.service.remote.serve_worker` behind
   ``python -m repro worker serve`` on any machine that wants to help;
-* :mod:`repro.service.backends` -- the pluggable
-  :class:`~repro.service.backends.CacheBackend` storage seam behind
-  :class:`~repro.runtime.cache.ResultCache` (local sharded directory by
-  default, proxied over the job connection for remote workers);
 * :class:`~repro.service.job.Job` -- the client handle: ``run`` /
   ``stream`` / ``cancel`` / ``listen``, cooperative SIGINT/SIGTERM
   preemption (:class:`~repro.service.job.JobPreempted`), journal +
-  cache + execute resolution in point order.
+  cache + execute resolution in point order.  The submitting process
+  journals and caches every executed record; workers only compute;
+* :func:`~repro.service.campaign.run_campaign` -- the one campaign
+  driver: a study's experiment, points and report class in, a
+  :class:`~repro.service.campaign.CampaignReport` out.
 
-``Sweep.run``, the validate/faults campaign drivers and ``repro bench``
-are all thin clients of this layer; records stay byte-identical to the
-pre-service serial paths -- and to local-only runs when remote workers
-join.
+``Sweep.run``, the validate/faults/topo/congestion campaign drivers and
+``repro bench`` are all thin clients of this layer; records stay
+byte-identical to the pre-service serial paths -- and to local-only runs
+when remote workers join.
 """
 
-from repro.service.backends import (CacheBackend, LocalDirBackend,
-                                    RemoteCacheBackend, as_result_cache)
+from repro.service.campaign import (CampaignReport, WorkloadReport,
+                                    run_campaign, run_job)
 from repro.service.job import Job, JobPreempted, PointDone
-from repro.service.queue import GATE, PriorityGate, WorkQueue
+from repro.service.queue import WorkQueue
 from repro.service.remote import (HandshakeRejected, RemoteDispatcher,
                                   serve_worker)
 from repro.service.runners import (BenchRunner, SweepRunner, get_runner,
                                    register_runner)
 from repro.service.spec import JobSpec
-from repro.service.store import JobStore, SubmitThrottled, default_jobs_dir
+from repro.service.store import JobStore, default_jobs_dir
 
 __all__ = [
     "BenchRunner",
-    "CacheBackend",
-    "GATE",
+    "CampaignReport",
     "HandshakeRejected",
     "Job",
     "JobPreempted",
     "JobSpec",
     "JobStore",
-    "LocalDirBackend",
     "PointDone",
-    "PriorityGate",
-    "RemoteCacheBackend",
     "RemoteDispatcher",
-    "SubmitThrottled",
     "SweepRunner",
     "WorkQueue",
-    "as_result_cache",
+    "WorkloadReport",
     "default_jobs_dir",
     "get_runner",
     "register_runner",
+    "run_campaign",
+    "run_job",
     "serve_worker",
 ]

@@ -16,8 +16,10 @@ optional :class:`~repro.service.store.JobStore` and runs it through the
 
 Point resolution order (per point, cheapest source wins):
 journal -> result cache (parent-side get, counted on the caller's cache
-object) -> execution.  Records always come back **in point order**,
-whatever order workers finish in.
+object) -> execution.  Each executed record is journaled and then put
+into the cache, both in the submitting process, so workers never touch
+either.  Records always come back **in point order**, whatever order
+workers finish in.
 """
 
 from __future__ import annotations
@@ -77,18 +79,17 @@ class Job:
     """One submitted campaign: spec + optional store + run state."""
 
     def __init__(self, spec: JobSpec, store: Union[JobStore, str, None] = None,
-                 *, state: Any = None, priority: int = 0):
+                 *, state: Any = None):
         self.spec = spec
         self.store = _maybe_store(store)
         self.id = spec.job_id()
         self._runner = get_runner(spec.runner)
         self._state = (state if state is not None
                        else self._runner.init(self._materialize_payload()))
+        #: The result cache this job probes and fills (``None`` when it
+        #: runs uncached).
+        self.cache: Optional[ResultCache] = getattr(self._state, "cache", None)
         self._cancelled = False
-        #: Point-granularity preemption rank: while a job with a
-        #: strictly higher priority executes in this process, this job
-        #: stops dispatching new points until it finishes.
-        self.priority = priority
         self._remote: Any = None
         self._cancel_checked_at = 0.0
         #: Source tally of the last run:
@@ -99,20 +100,17 @@ class Job:
         self.queue_stats: Dict[str, int] = {}
         if self.store is not None:
             self._materialize_payload()
-            self.store.submit(self.spec)
+            self.store.create(self.spec)
 
     # ------------------------------------------------------------ constructors
     @classmethod
     def from_sweep(cls, sweep: Any, config: Optional[SystemConfig] = None,
                    cache: Optional[ResultCache] = None,
-                   store: Union[JobStore, str, None] = None,
-                   priority: int = 0) -> "Job":
+                   store: Union[JobStore, str, None] = None) -> "Job":
         """Wrap a :class:`~repro.runtime.sweep.Sweep` as a job.
 
-        The caller's ``cache`` object is used directly for parent-side
-        gets (its hit/miss counters keep working) and for inline puts;
-        parallel workers reconstruct a cache on the same root and
-        write through from their side.
+        The caller's ``cache`` object is used directly for every get
+        (its hit/miss counters keep working) and every put.
         """
         config = config or default_config()
         store = _maybe_store(store)
@@ -123,12 +121,11 @@ class Job:
             # The *base* config: it names the job.  Cache keys use each
             # point's effective config (Experiment.resolve_point).
             config_fingerprint=config_fingerprint(config),
-            cache_root=(str(cache.root) if cache is not None
-                        and cache.root is not None else None),
+            cache_root=str(cache.root) if cache is not None else None,
         )
         state = SweepState(experiment=sweep.experiment, config=config,
                            cache=cache)
-        return cls(spec, store=store, state=state, priority=priority)
+        return cls(spec, store=store, state=state)
 
     @classmethod
     def from_bench(cls, workloads: Sequence[str], repeat: int,
@@ -166,19 +163,16 @@ class Job:
         ``address`` is a port (``0`` = ephemeral), ``"host:port"``, or a
         ``(host, port)`` tuple.  Workers join with ``python -m repro
         worker serve --connect HOST:PORT``; they are mixed with the
-        local pool by the next :meth:`run`'s dispatcher and share this
-        job's result cache through the connection.  The dispatcher is
-        closed when the run finishes.
+        local pool by the next :meth:`run`'s dispatcher.  The dispatcher
+        is closed when the run finishes.
         """
         from repro.service.remote import RemoteDispatcher, _parse_hostport
         if self._remote is not None:
             return self._remote.address
         host, port = _parse_hostport(address, default_host="0.0.0.0")
-        cache = getattr(self._state, "cache", None)
         self._remote = RemoteDispatcher(
             host, port, job_id=self.id, runner_name=self.spec.runner,
-            payload=self._materialize_payload(),
-            cache_backend=cache.backend if cache is not None else None)
+            payload=self._materialize_payload())
         return self._remote.address
 
     def _cancel_poll(self, interval_s: float = 0.5) -> bool:
@@ -195,13 +189,12 @@ class Job:
         return self._cancelled
 
     # --------------------------------------------------------------------- run
-    def run(self, jobs: int = 1, progress: Optional[Progress] = None,
-            *, window: Optional[int] = None) -> List[Optional[RunRecord]]:
+    def run(self, jobs: int = 1, progress: Optional[Progress] = None
+            ) -> List[Optional[RunRecord]]:
         """Execute the job; returns records in point order.
 
         ``jobs`` local workers (``0`` = remote-only, needs a prior
-        :meth:`listen`) plus any remote workers that join; ``window``
-        caps in-flight points across all of them.  Every entry is a
+        :meth:`listen`) plus any remote workers that join.  Every entry is a
         :class:`RunRecord` unless the job was cancelled mid-run (the
         unreached points stay ``None``).  Raises :class:`JobPreempted`
         if a stored job caught SIGINT/SIGTERM.
@@ -227,8 +220,11 @@ class Job:
             records[index] = record
             done += 1
             self.stats[source] += 1
-            if source == "run" and self.store is not None:
-                self.store.append_point(self.id, index, record)
+            if source == "run":
+                if self.store is not None:
+                    self.store.append_point(self.id, index, record)
+                if self.cache is not None:
+                    self.cache.put(record)
             if progress is not None:
                 progress(PointDone(job_id=self.id, index=index, total=total,
                                    done=done, source=source, record=record))
@@ -263,8 +259,7 @@ class Job:
                 payload=(self._materialize_payload()
                          if (jobs > 1 and len(pending) > 1)
                          or self._remote is not None else None),
-                jobs=jobs, remote=self._remote, window=window,
-                priority=self.priority)
+                jobs=jobs, remote=self._remote)
             wq.execute(
                 pending, points,
                 on_done=emit,

@@ -19,11 +19,11 @@ worker set: per-point task endpoints that are either forked local
 processes (:class:`_LocalWorker`) or TCP-connected remote workers
 (:class:`~repro.service.remote.RemoteEndpoint`, adopted live from a
 :class:`~repro.service.remote.RemoteDispatcher` as they connect).  The
-window -- at most ``window`` points outstanding across all endpoints --
-is what gives ``should_stop`` its bite *and* what bounds submission
-memory: a cancel request stops the queue within one window, not after
-the whole grid, and a million-point campaign never materializes more
-than a window of in-flight work.
+window -- at most ``max(4, 2 * jobs)`` points outstanding across all
+endpoints -- is what gives ``should_stop`` its bite *and* what bounds
+submission memory: a cancel request stops the queue within one window,
+not after the whole grid, and a million-point campaign never
+materializes more than a window of in-flight work.
 
 Fault model: endpoints die (a local worker SIGKILLed, a remote
 connection dropped).  The dispatcher buries the endpoint, requeues its
@@ -33,11 +33,6 @@ a poison point that kills every worker it touches fails the job instead
 of looping forever.  A completion that raced the death notice (record
 already on the wire when the worker died) is deduplicated by index:
 each point is reported through ``on_done`` exactly once.
-
-Priorities preempt at point granularity through the process-wide
-:data:`GATE`: while any strictly-higher-priority job is executing in
-this process, lower-priority queues stop refilling their window (their
-in-flight points still finish) until the gate clears.
 
 Determinism: each point is an isolated, deterministic simulation, so
 records are byte-identical regardless of worker count, worker locality,
@@ -51,7 +46,6 @@ import itertools
 import multiprocessing
 import queue as _queue
 import threading
-import time
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from collections import deque
@@ -59,7 +53,7 @@ from collections import deque
 from repro.runtime.record import RunRecord
 from repro.service.runners import _worker_main
 
-__all__ = ["WorkQueue", "PriorityGate", "GATE", "MAX_POINT_ATTEMPTS"]
+__all__ = ["WorkQueue", "MAX_POINT_ATTEMPTS"]
 
 OnDone = Callable[[int, RunRecord, str], None]
 ShouldStop = Callable[[], bool]
@@ -67,46 +61,6 @@ ShouldStop = Callable[[], bool]
 #: A point is reissued after an endpoint death at most this many times
 #: before the job fails with a poison-point error.
 MAX_POINT_ATTEMPTS = 3
-
-
-# ------------------------------------------------------------------ priorities
-class PriorityGate:
-    """Process-wide point-granularity preemption between concurrent jobs.
-
-    Every executing :class:`WorkQueue` registers its job's priority and
-    holds a token; a queue may dispatch a new point only while
-    :meth:`clear` says no *strictly higher* priority is active.  The
-    gate never stops in-flight points -- preemption is cooperative, at
-    point boundaries -- and same-priority jobs share the machine freely.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._active: Dict[int, int] = {}
-        self._next = itertools.count(1)
-
-    def register(self, priority: int) -> int:
-        with self._lock:
-            token = next(self._next)
-            self._active[token] = priority
-        return token
-
-    def unregister(self, token: int) -> None:
-        with self._lock:
-            self._active.pop(token, None)
-
-    def clear(self, token: int) -> bool:
-        """True iff no *other* active job outranks this token's job."""
-        with self._lock:
-            mine = self._active.get(token)
-            if mine is None:
-                return True
-            return all(prio <= mine for tok, prio in self._active.items()
-                       if tok != token)
-
-
-#: The process-wide gate every WorkQueue registers with.
-GATE = PriorityGate()
 
 
 # ------------------------------------------------------------- local endpoint
@@ -158,31 +112,26 @@ class WorkQueue:
 
     ``jobs`` local workers (``0`` = none: remote-only) are mixed with
     whatever remote endpoints the optional ``remote`` dispatcher has
-    accepted, behind one bounded window of ``window`` in-flight points
-    (default ``max(4, 2 * jobs)``).  ``stats`` tallies, per execution,
+    accepted, behind one bounded window of ``max(4, 2 * jobs)``
+    in-flight points.  ``stats`` tallies, per execution,
     how many points each worker kind completed and how many were
     reissued after an endpoint death.
     """
 
     def __init__(self, runner: Any, state: Any, runner_name: str,
                  payload: Optional[bytes], jobs: int, *,
-                 remote: Any = None, window: Optional[int] = None,
-                 priority: int = 0):
+                 remote: Any = None):
         if jobs < 0:
             raise ValueError(f"jobs must be >= 0, got {jobs}")
         if jobs == 0 and remote is None:
             raise ValueError("jobs=0 needs a remote dispatcher to supply "
                              "workers")
-        if window is not None and window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
         self.runner = runner
         self.state = state
         self.runner_name = runner_name
         self.payload = payload
         self.jobs = jobs
         self.remote = remote
-        self.window = window
-        self.priority = priority
         self.stats: Dict[str, int] = {"local": 0, "remote": 0, "reissued": 0}
 
     # ------------------------------------------------------------------ entry
@@ -192,30 +141,18 @@ class WorkQueue:
         """Run every pending point (unless stopped); see module doc."""
         if not pending:
             return
-        token = GATE.register(self.priority)
-        try:
-            if self.remote is None and (self.jobs == 1 or len(pending) == 1):
-                self._execute_inline(pending, points, on_done, should_stop,
-                                     token)
-            else:
-                self._execute_dispatch(pending, points, on_done, should_stop,
-                                       token)
-        finally:
-            GATE.unregister(token)
+        if self.remote is None and (self.jobs == 1 or len(pending) == 1):
+            self._execute_inline(pending, points, on_done, should_stop)
+        else:
+            self._execute_dispatch(pending, points, on_done, should_stop)
 
     # ----------------------------------------------------------------- inline
     def _execute_inline(self, pending: Sequence[int],
                         points: Sequence[Dict[str, Any]],
-                        on_done: OnDone, should_stop: ShouldStop,
-                        token: int) -> None:
+                        on_done: OnDone, should_stop: ShouldStop) -> None:
         """Serial path: runs in-process against the parent's own state,
-        so e.g. cache puts land on the caller's ResultCache object and
-        bench timings pay no fork overhead."""
+        so bench timings pay no fork overhead."""
         for index in pending:
-            while not GATE.clear(token):
-                if should_stop():
-                    return
-                time.sleep(0.02)
             if should_stop():
                 return
             record, source = self.runner.run(self.state, index, points[index])
@@ -225,12 +162,10 @@ class WorkQueue:
     # --------------------------------------------------------------- dispatch
     def _execute_dispatch(self, pending: Sequence[int],
                           points: Sequence[Dict[str, Any]],
-                          on_done: OnDone, should_stop: ShouldStop,
-                          token: int) -> None:
+                          on_done: OnDone, should_stop: ShouldStop) -> None:
         if self.payload is None:
             raise ValueError("dispatch execution needs a materialized payload")
-        window = self.window if self.window is not None \
-            else max(4, 2 * max(self.jobs, 1))
+        window = max(4, 2 * self.jobs)
 
         results: _queue.Queue = _queue.Queue()
         todo: deque = deque(pending)
@@ -296,9 +231,9 @@ class WorkQueue:
 
                 stopping = error is not None or should_stop()
 
-                # Refill the dispatch window (unless stopping/preempted).
+                # Refill the dispatch window (unless stopping).
                 while (todo and free and not stopping
-                       and len(inflight) < window and GATE.clear(token)):
+                       and len(inflight) < window):
                     wid = free.popleft()
                     ep = endpoints.get(wid)
                     if ep is None or not ep.alive():

@@ -20,7 +20,7 @@ Handshake (worker connects)::
     dispatcher
             -> {"type": "reject", "reason", "job_id"}       # stale worker
             -> {"type": "welcome", "job_id", "runner", "payload",
-                "proxy_cache", "code_version"}
+                "code_version"}
     worker  -> {"type": "ready"}
 
 The welcome carries the job's spec fingerprint (the content-addressed
@@ -31,12 +31,13 @@ point -- because records from mismatched code would not be comparable.
 Task loop (dispatcher holds at most one task in flight per worker)::
 
     dispatcher -> ("task", index, point)
-    worker     -> ("cache_get", experiment, params, fp, ver)   # mid-task
-    dispatcher -> ("cache_result", record_or_None)
-    worker     -> ("cache_put", record)                        # no reply
     worker     -> ("done", index, record, source)
                |  ("task_error", index, exc)
     dispatcher -> ("stop", final)                              # job over
+
+Workers never touch the result cache: the dispatcher's
+:class:`~repro.service.job.Job` probes it before dispatch and puts each
+record a worker returns.
 
 Failure matrix: a **version/protocol mismatch** is rejected at the
 handshake (the worker exits with a reason); a **worker death** surfaces
@@ -68,7 +69,7 @@ __all__ = [
 ]
 
 #: Wire-protocol revision; bumped on any frame-shape change.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 #: Hard cap on one frame (a record or a pickled working set).
 MAX_FRAME = 256 * 1024 * 1024
 #: Handshake must complete within this many seconds.
@@ -141,12 +142,10 @@ class RemoteDispatcher:
     """
 
     def __init__(self, host: str = "0.0.0.0", port: int = 0, *,
-                 job_id: str, runner_name: str, payload: bytes,
-                 cache_backend: Any = None):
+                 job_id: str, runner_name: str, payload: bytes):
         self.job_id = job_id
         self.runner_name = runner_name
         self.payload = payload
-        self.cache_backend = cache_backend
         self._sock = socket.create_server((host, port))
         self.address: Tuple[str, int] = self._sock.getsockname()[:2]
         self._ready: _queue.SimpleQueue = _queue.SimpleQueue()
@@ -198,7 +197,6 @@ class RemoteDispatcher:
         send_frame(conn, {"type": "welcome", "job_id": self.job_id,
                           "runner": self.runner_name,
                           "payload": self.payload,
-                          "proxy_cache": self.cache_backend is not None,
                           "code_version": __version__})
         ready = recv_frame(conn)
         return isinstance(ready, dict) and ready.get("type") == "ready"
@@ -214,8 +212,7 @@ class RemoteDispatcher:
                 conn = self._ready.get_nowait()
             except _queue.Empty:
                 return out
-            ep = RemoteEndpoint(alloc_wid(), conn, results,
-                                self.cache_backend)
+            ep = RemoteEndpoint(alloc_wid(), conn, results)
             self._endpoints.append(ep)
             out.append(ep)
 
@@ -242,8 +239,7 @@ class RemoteEndpoint:
 
     A reader thread turns the worker's frames into the queue's unified
     result shape -- ``("done", wid, (index, record, source))``,
-    ``("err", wid, (index, exc))`` -- serves its cache proxy traffic
-    from the dispatcher's backend, and reports EOF as
+    ``("err", wid, (index, exc))`` -- and reports EOF as
     ``("dead", wid, None)`` so the in-flight point can be reissued.
     """
 
@@ -251,11 +247,10 @@ class RemoteEndpoint:
     capacity = 1
 
     def __init__(self, wid: int, conn: socket.socket,
-                 results: "_queue.Queue", cache_backend: Any):
+                 results: "_queue.Queue"):
         self.wid = wid
         self._conn = conn
         self._results = results
-        self._cache = cache_backend
         self._send_lock = threading.Lock()
         self._closed = False
         self._reader = threading.Thread(
@@ -285,15 +280,6 @@ class RemoteEndpoint:
                                        (msg[1], msg[2], msg[3])))
                 elif kind == "task_error":
                     self._results.put(("err", self.wid, (msg[1], msg[2])))
-                elif kind == "cache_get":
-                    record = None
-                    if self._cache is not None:
-                        record = self._cache.get(msg[1], msg[2], msg[3],
-                                                 msg[4])
-                    self._send(("cache_result", record))
-                elif kind == "cache_put":
-                    if self._cache is not None:
-                        self._cache.put(msg[1])
                 # Unknown frames are ignored: forward compatibility.
         except (OSError, ConnectionError, EOFError, pickle.PickleError):
             pass
@@ -315,36 +301,6 @@ class RemoteEndpoint:
 
 
 # ------------------------------------------------------------------ worker
-class _WorkerChannel:
-    """Worker-side connection; what :class:`RemoteCacheBackend` proxies
-    through.  The worker is single-threaded, so a blocking request/reply
-    (``cache_get``) cannot interleave with its own task frames."""
-
-    def __init__(self, sock: socket.socket):
-        self._sock = sock
-
-    def send(self, msg: Any) -> None:
-        send_frame(self._sock, msg)
-
-    def recv(self) -> Any:
-        return recv_frame(self._sock)
-
-    def cache_get(self, experiment: str, params: dict, config_fp: str,
-                  code_version: str) -> Any:
-        self.send(("cache_get", experiment, params, config_fp,
-                   code_version))
-        msg = self.recv()
-        if msg is None:
-            raise ConnectionError("dispatcher went away mid cache_get")
-        if msg[0] != "cache_result":
-            raise ConnectionError(
-                f"protocol error: expected cache_result, got {msg[0]!r}")
-        return msg[1]
-
-    def cache_put(self, record: Any) -> None:
-        self.send(("cache_put", record))
-
-
 def serve_worker(connect: Union[str, Tuple[str, int]], *,
                  store: Any = None, retry_s: float = 30.0,
                  once: bool = False,
@@ -354,10 +310,7 @@ def serve_worker(connect: Union[str, Tuple[str, int]], *,
     Connects, handshakes, builds the runner working set from the
     welcome's payload (or from ``store`` when the job's spec is visible
     on a shared filesystem), then serves ``(index, point)`` tasks one at
-    a time.  When the welcome flags ``proxy_cache``, the worker's sweep
-    state swaps its cache for a
-    :class:`~repro.service.backends.RemoteCacheBackend` so gets and puts
-    ride the job connection instead of a local directory.
+    a time.
 
     Returns a process exit code: 0 after a final stop (job complete) --
     or, with ``once``, after serving one job; 1 when no dispatcher
@@ -403,9 +356,7 @@ def serve_worker(connect: Union[str, Tuple[str, int]], *,
 def _serve_one(sock: socket.socket, store: Any,
                log: Callable[[str], None]) -> bool:
     """One connection's lifetime; returns True on a final stop."""
-    from repro.runtime.cache import ResultCache
-    from repro.service.backends import RemoteCacheBackend
-    from repro.service.runners import get_runner
+    from repro.service.runners import _portable_error, get_runner
 
     send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION,
                       "code_version": __version__})
@@ -428,15 +379,12 @@ def _serve_one(sock: socket.socket, store: Any,
             pass
     runner = get_runner(resp["runner"])
     state = runner.init(payload)
-    channel = _WorkerChannel(sock)
-    if resp.get("proxy_cache") and hasattr(state, "cache"):
-        state.cache = ResultCache(backend=RemoteCacheBackend(channel))
     send_frame(sock, {"type": "ready"})
     sock.settimeout(None)
     log(f"worker serving job {job_id}")
 
     while True:
-        msg = channel.recv()
+        msg = recv_frame(sock)
         if msg is None:
             return False
         kind = msg[0]
@@ -451,8 +399,7 @@ def _serve_one(sock: socket.socket, store: Any,
         try:
             record, source = runner.run(state, index, point)
         except BaseException as exc:
-            from repro.service.runners import _portable_error
-            channel.send(("task_error", index, _portable_error(exc)))
+            send_frame(sock, ("task_error", index, _portable_error(exc)))
         else:
-            channel.send(("done", index, record, source))
+            send_frame(sock, ("done", index, record, source))
             log(f"point {index} done ({source})")

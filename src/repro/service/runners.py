@@ -11,10 +11,10 @@ per worker instead of 1024 times.
 Two runners exist:
 
 * ``"sweep"`` -- runs an :class:`~repro.runtime.experiment.Experiment`
-  at one parameter point and write-through-puts the record into the
-  :class:`~repro.runtime.cache.ResultCache` *from the worker* (crash-safe:
-  puts are atomic temp-file + rename, so a worker killed mid-write never
-  leaves a readable torn entry);
+  at one parameter point.  Its working set names the job's
+  :class:`~repro.runtime.cache.ResultCache`, which only the submitting
+  process uses: :meth:`SweepRunner.lookup` probes it before dispatch and
+  the :class:`~repro.service.job.Job` puts each executed record;
 * ``"bench"`` -- times one :mod:`repro.bench` workload in-process
   (always executed inline, never forked: wall-clock timings must not pay
   pool overhead).
@@ -50,18 +50,15 @@ class SweepState:
 
 
 class SweepRunner:
-    """Experiment-point execution with worker-side cache write-through."""
+    """Experiment-point execution."""
 
     name = "sweep"
 
     @staticmethod
     def payload_from_state(state: SweepState) -> bytes:
-        # Caches without a filesystem root (remote proxies) ship as
-        # uncached payloads; such workers get a proxy cache from the
-        # dispatcher handshake instead.
-        cache_root = (str(state.cache.root)
-                      if state.cache is not None
-                      and state.cache.root is not None else None)
+        # The cache root rides along so a stored job resumed by a fresh
+        # process keeps the cache it was submitted with.
+        cache_root = str(state.cache.root) if state.cache is not None else None
         return pickle.dumps((state.experiment, state.config, cache_root))
 
     @staticmethod
@@ -92,10 +89,7 @@ class SweepRunner:
     def run(state: SweepState, index: int,
             point: Dict[str, Any]) -> Tuple[RunRecord, str]:
         """Execute one point; returns ``(record, "run")``."""
-        record = state.experiment.run(point, state.config)
-        if state.cache is not None:
-            state.cache.put(record)
-        return record, "run"
+        return state.experiment.run(point, state.config), "run"
 
 
 class _Discarded:

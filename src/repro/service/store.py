@@ -23,15 +23,14 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import tempfile
-import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
+from repro.runtime.cache import atomic_write
 from repro.runtime.record import RunRecord, canonical_json
 from repro.service.spec import JobSpec
 
-__all__ = ["JobStore", "SubmitThrottled", "default_jobs_dir"]
+__all__ = ["JobStore", "default_jobs_dir"]
 
 #: Environment override for the job store location.
 JOBS_DIR_ENV = "REPRO_JOBS_DIR"
@@ -44,42 +43,11 @@ def default_jobs_dir() -> Path:
     return Path(env) if env else Path.cwd() / JOBS_DIR_NAME
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-class SubmitThrottled(RuntimeError):
-    """Raised by :meth:`JobStore.submit` when backpressure rejects a new
-    job (too many active jobs, or submissions arriving faster than the
-    configured rate).  Resubmitting an *existing* spec is never
-    throttled -- resume must always work."""
-
-
 class JobStore:
-    """Directory of journaled jobs; every mutation is crash-safe.
+    """Directory of journaled jobs; every mutation is crash-safe."""
 
-    ``max_active`` and ``min_interval_s`` arm submission backpressure
-    for :meth:`submit`; both default to off, so plain stores behave
-    exactly as before.
-    """
-
-    def __init__(self, root: Union[str, Path, None] = None,
-                 max_active: Optional[int] = None,
-                 min_interval_s: float = 0.0):
+    def __init__(self, root: Union[str, Path, None] = None):
         self.root = Path(root) if root is not None else default_jobs_dir()
-        self.max_active = max_active
-        self.min_interval_s = min_interval_s
 
     # ------------------------------------------------------------------ paths
     def job_dir(self, job_id: str) -> Path:
@@ -96,51 +64,7 @@ class JobStore:
         job_id = spec.job_id()
         spec_path = self.job_dir(job_id) / "spec.json"
         if not spec_path.exists():
-            _atomic_write(spec_path, spec.to_json())
-        return job_id
-
-    def submit(self, spec: JobSpec, *,
-               clock: Callable[[], float] = time.time) -> str:
-        """Backpressured :meth:`create`: the submission path campaigns
-        and the CLI use.
-
-        Re-submitting a spec that already exists is a *resume* and always
-        succeeds.  A genuinely new job is rejected with
-        :class:`SubmitThrottled` when ``max_active`` jobs are already
-        running/cancelling, or when the last new submission was less
-        than ``min_interval_s`` ago (tracked by a ``.last-submit``
-        marker's mtime, so the rate limit holds across processes).
-        ``clock`` is injectable for tests.
-        """
-        job_id = spec.job_id()
-        if (self.job_dir(job_id) / "spec.json").exists():
-            return self.create(spec)  # resume: never throttled
-        if self.max_active is not None:
-            active = sum(
-                1 for jid in self.jobs()
-                if self.meta(jid).get("status") in ("running", "cancelling"))
-            if active >= self.max_active:
-                raise SubmitThrottled(
-                    f"{active} jobs already active (max_active="
-                    f"{self.max_active}); retry when one finishes")
-        marker = self.root / ".last-submit"
-        if self.min_interval_s > 0:
-            now = clock()
-            try:
-                elapsed = now - marker.stat().st_mtime
-            except OSError:
-                elapsed = None
-            if elapsed is not None and elapsed < self.min_interval_s:
-                raise SubmitThrottled(
-                    f"submissions limited to one per {self.min_interval_s}s "
-                    f"(last was {elapsed:.2f}s ago); retry shortly")
-        job_id = self.create(spec)
-        try:
-            marker.parent.mkdir(parents=True, exist_ok=True)
-            marker.touch()
-            os.utime(marker, (clock(), clock()))
-        except OSError:  # pragma: no cover - marker is best-effort
-            pass
+            atomic_write(spec_path, spec.to_json())
         return job_id
 
     def load(self, job_id: str) -> JobSpec:
@@ -169,7 +93,7 @@ class JobStore:
     def set_meta(self, job_id: str, **fields: Any) -> None:
         meta = self.meta(job_id)
         meta.update(fields)
-        _atomic_write(self.job_dir(job_id) / "meta.json",
+        atomic_write(self.job_dir(job_id) / "meta.json",
                       canonical_json(meta))
 
     # ---------------------------------------------------------------- journal
@@ -221,7 +145,7 @@ class JobStore:
         won't restart it by accident.
         """
         self.load(job_id)  # KeyError for unknown jobs
-        _atomic_write(self._cancel_marker(job_id), "")
+        atomic_write(self._cancel_marker(job_id), "")
         status = self.meta(job_id).get("status")
         if status == "running":
             status = "cancelling"

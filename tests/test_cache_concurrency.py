@@ -1,11 +1,10 @@
-"""ResultCache under the service's worker-side write-through.
+"""ResultCache under a parallel sweep's puts.
 
-With ``jobs > 1`` the cache puts happen in worker processes (atomic
-temp-file + ``os.replace``), while the submitting process -- or any
-other reader -- may ``get`` the same keys concurrently.  A reader must
-only ever see a miss or a complete record, never a torn one, and a torn
-entry left by a killed writer must read as a miss that the next sweep
-silently repairs.
+With ``jobs > 1`` the submitting process puts each record a worker
+returns (atomic temp-file + ``os.replace``) while any other reader may
+``get`` the same keys concurrently.  A reader must only ever see a miss
+or a complete record, never a torn one, and a torn entry left by a
+killed writer must read as a miss that the next sweep silently repairs.
 """
 
 import threading
@@ -89,7 +88,7 @@ class TestWriteThroughRaces:
         assert probe.misses == 1
 
         # The next parallel sweep treats it as a hole, re-simulates it
-        # byte-identically, and the worker's put repairs the entry.
+        # byte-identically, and its put repairs the entry.
         repair_cache = ResultCache(tmp_path)
         again = _sweep().run(jobs=2, cache=repair_cache)
         assert repair_cache.hits == 3 and repair_cache.misses == 1

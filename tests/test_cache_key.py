@@ -24,17 +24,18 @@ from repro.config import default_config
 from repro.runtime import Experiment, ResultCache, Sweep
 from repro.runtime.record import config_fingerprint, make_cache_key
 from repro.service import Job, JobStore
-from repro.service.backends import LocalDirBackend
 from repro.validate.fuzz import ValidateExperiment, run_campaign
+from repro.version import __version__
 
-class KeyRecordingBackend(LocalDirBackend):
-    """Local-dir storage that remembers every key ``get`` probes."""
+
+class KeyRecordingCache(ResultCache):
+    """A result cache that remembers every key ``get`` probes."""
 
     def __init__(self, root):
         super().__init__(root)
         self.probed = []
 
-    def get(self, experiment, params, config_fp, code_version):
+    def get(self, experiment, params, config_fp, code_version=__version__):
         self.probed.append(make_cache_key(experiment, params, config_fp,
                                           code_version))
         return super().get(experiment, params, config_fp, code_version)
@@ -107,13 +108,12 @@ def test_resubmitted_campaign_resolves_from_cache(tmp_path, experiment):
     points = len(cold.records)
     assert cold.cache_stats == {"hits": 0, "misses": points}
 
-    backend = KeyRecordingBackend(cache_root)
-    warm = campaign(ResultCache(backend=backend),
-                    JobStore(tmp_path / "jobs-warm"))
+    recording = KeyRecordingCache(cache_root)
+    warm = campaign(recording, JobStore(tmp_path / "jobs-warm"))
     assert warm.cache_stats == {"hits": points, "misses": 0}
     assert ([r.to_json() for r in warm.records]
             == [r.to_json() for r in cold.records])
-    assert backend.probed == [r.cache_key() for r in cold.records]
+    assert recording.probed == [r.cache_key() for r in cold.records]
 
 
 def test_lookup_keys_on_the_effective_config():

@@ -67,6 +67,26 @@ def test_corrupt_entry_is_replaced_by_next_put(cache):
     assert fresh.metrics == record.metrics
 
 
+def test_entry_is_sharded_by_key(cache):
+    """One JSON file per key, under the shard named by its first two hex
+    digits."""
+    record = _record(seed=3)
+    path = cache.put(record)
+    key = record.cache_key()
+    assert path == cache.root / key[:2] / f"{key}.json"
+    assert path.read_text() == record.to_json()
+    assert cache.get(record.experiment, record.params,
+                     record.config_fingerprint, record.code_version) == record
+
+
+def test_stats_reports_hits_and_misses(cache):
+    record = _record(seed=7)
+    cache.put(record)
+    assert _get(cache, record) == record
+    assert _get(cache, _record(seed=8)) is None
+    assert cache.stats() == {"hits": 1, "misses": 1}
+
+
 def test_missing_entry_is_a_plain_miss(cache):
     assert _get(cache, _record(seed=99)) is None
     assert cache.misses == 1

@@ -1,12 +1,11 @@
-"""Remote workers, priorities, cancel and submission backpressure.
+"""Remote workers and cancel.
 
 The acceptance properties of DESIGN.md §13: the framed protocol never
 delivers a torn frame, stale workers are rejected at the handshake, a
 job served by remote workers (even one SIGKILLed mid-point) produces
 records byte-identical to a local-only run with the dead worker's
-in-flight point reissued exactly once, higher-priority jobs preempt
-lower ones at point granularity, and `jobs cancel` / submit throttling
-behave cooperatively.
+in-flight point reissued exactly once, a remote-only run still fills
+the submitter's result cache, and `jobs cancel` behaves cooperatively.
 """
 
 import os
@@ -23,10 +22,9 @@ import pytest
 from _remote_workload import SleepyMicrobench
 from repro.apps.microbench import MicrobenchExperiment
 from repro.config import default_config
-from repro.runtime import Sweep
+from repro.runtime import ResultCache, Sweep
 from repro.runtime.record import config_fingerprint
-from repro.service import (Job, JobSpec, JobStore, PriorityGate,
-                           SubmitThrottled, WorkQueue)
+from repro.service import Job, JobSpec, JobStore, WorkQueue
 from repro.service.remote import (PROTOCOL_VERSION, RemoteDispatcher,
                                   _parse_hostport, recv_frame, send_frame,
                                   serve_worker)
@@ -151,7 +149,6 @@ class TestHandshake:
             assert resp["job_id"] == "abc123def456"
             assert resp["runner"] == "sweep"
             assert resp["payload"] == b"payload-bytes"
-            assert resp["proxy_cache"] is False
             assert resp["code_version"] == __version__
             send_frame(sock, {"type": "ready"})
             # The handshaken connection becomes an adoptable endpoint.
@@ -241,6 +238,28 @@ class TestRemoteExecution:
         assert job.queue_stats["remote"] == len(records)
         assert job.queue_stats["reissued"] <= 1
 
+    def test_remote_only_run_fills_the_cache(self, tmp_path):
+        """Workers never touch the cache: the submitting process puts
+        each record they return, so a later local run resolves every
+        point from it."""
+        cache = ResultCache(tmp_path / "cache")
+        job = Job.from_sweep(_sleepy_sweep(n=4), cache=cache)
+        host, port = job.listen(("127.0.0.1", 0))
+        workers = [_spawn_worker(port)]
+        try:
+            remote = job.run(jobs=0)
+        finally:
+            _reap(*workers)
+        assert job.queue_stats["remote"] == 4
+        assert cache.stats() == {"hits": 0, "misses": 4}
+
+        local_cache = ResultCache(tmp_path / "cache")
+        local = Job.from_sweep(_sleepy_sweep(n=4), cache=local_cache)
+        records = local.run(jobs=2)
+        assert local.stats == {"journal": 0, "cache": 4, "run": 0}
+        assert local_cache.stats() == {"hits": 4, "misses": 0}
+        assert _jsons(records) == _jsons(remote)
+
     def test_kamikaze_remote_reissued_exactly_once(self, tmp_path):
         cfg = default_config()
         points = [{"nbytes": 64 * (i + 1)} for i in range(4)]
@@ -292,53 +311,6 @@ class TestRemoteExecution:
         assert job.queue_stats["remote"] == 0
 
 
-# --------------------------------------------------------------- priorities
-class TestPriorities:
-    def test_gate_semantics(self):
-        gate = PriorityGate()
-        low = gate.register(0)
-        assert gate.clear(low)
-        high = gate.register(1)
-        assert not gate.clear(low)
-        assert gate.clear(high)
-        peer = gate.register(1)
-        assert gate.clear(high) and gate.clear(peer)  # ties share freely
-        gate.unregister(high)
-        gate.unregister(peer)
-        assert gate.clear(low)
-
-    def test_high_priority_job_preempts_low(self):
-        events = []
-        lock = threading.Lock()
-        low_started = threading.Event()
-
-        def tag(label):
-            def cb(_event):
-                with lock:
-                    events.append(label)
-                low_started.set()
-            return cb
-
-        low = Job.from_sweep(_sleepy_sweep(n=6, delay_s=0.2), priority=0)
-        runner = threading.Thread(
-            target=lambda: low.run(jobs=1, progress=tag("low")), daemon=True)
-        runner.start()
-        assert low_started.wait(timeout=30)
-
-        high = Job.from_sweep(_sleepy_sweep(n=2), priority=1)
-        high.run(jobs=1, progress=tag("high"))
-        runner.join(timeout=60)
-        assert not runner.is_alive()
-
-        with lock:
-            seq = list(events)
-        assert seq.count("high") == 2 and seq.count("low") == 6
-        # Once the high-priority job is in, the low job may finish at
-        # most its one in-flight point before the high job completes.
-        window = seq[seq.index("high"):len(seq) - seq[::-1].index("high")]
-        assert window.count("low") <= 1
-
-
 # ------------------------------------------------------------------- cancel
 class TestCancel:
     def test_store_cancel_stops_mid_run(self, tmp_path):
@@ -379,48 +351,13 @@ class TestCancel:
                      str(tmp_path)]) == 1
 
 
-# ------------------------------------------------------------- backpressure
-class TestSubmitBackpressure:
-    def _spec(self, i=0):
-        return JobSpec(runner="bench", experiment="bench",
-                       points=({"workload": "engine", "repeat": i + 1},),
-                       config_fingerprint="bench", payload=b"")
-
-    def test_max_active_rejects_new_jobs(self, tmp_path):
-        plain = JobStore(tmp_path)
-        running = plain.submit(self._spec(0))
-        plain.set_meta(running, status="running")
-        throttled = JobStore(tmp_path, max_active=1)
-        with pytest.raises(SubmitThrottled, match="max_active"):
-            throttled.submit(self._spec(1))
-        # Once the running job finishes, the same submit goes through.
-        plain.set_meta(running, status="done")
-        assert throttled.submit(self._spec(1)) == self._spec(1).job_id()
-
-    def test_resume_is_never_throttled(self, tmp_path):
-        plain = JobStore(tmp_path)
-        job_id = plain.submit(self._spec(0))
-        plain.set_meta(job_id, status="running")
-        throttled = JobStore(tmp_path, max_active=0, min_interval_s=3600)
-        assert throttled.submit(self._spec(0)) == job_id
-
-    def test_min_interval_rate_limits(self, tmp_path):
-        store = JobStore(tmp_path, min_interval_s=10.0)
-        assert store.submit(self._spec(0), clock=lambda: 100.0)
-        with pytest.raises(SubmitThrottled, match="limited to one per"):
-            store.submit(self._spec(1), clock=lambda: 104.0)
-        assert store.submit(self._spec(1), clock=lambda: 111.0)
-
-
 # -------------------------------------------------------- queue validation
 class TestQueueValidation:
-    def test_bad_windows_and_jobs_rejected(self):
+    def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError, match="jobs must be >= 0"):
             WorkQueue(None, None, "sweep", b"", jobs=-1)
         with pytest.raises(ValueError, match="remote"):
             WorkQueue(None, None, "sweep", b"", jobs=0)
-        with pytest.raises(ValueError, match="window"):
-            WorkQueue(None, None, "sweep", b"", jobs=2, window=0)
 
     def test_remote_only_run_requires_listen(self):
         job = Job.from_sweep(_sleepy_sweep(n=2))
