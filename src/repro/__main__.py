@@ -534,9 +534,10 @@ def _finish(study: _Study, run, json_path=None) -> int:
     return study.tally(report)
 
 
-def _study_main(name: str, argv, store=None, echo: bool = False) -> int:
+def _study_main(name: str, argv, store=None, echo: bool = False,
+                prog: str = "python -m repro") -> int:
     study = _STUDIES[name]
-    parser = argparse.ArgumentParser(prog=f"python -m repro {name}",
+    parser = argparse.ArgumentParser(prog=f"{prog} {name}",
                                      description=study.description)
     study.add_args(parser)
     add_service_args(parser, study.noun)
@@ -593,19 +594,23 @@ def _jobs_main(argv) -> int:
         return 0
 
     if command == "submit":
+        # Once a study is named, -h/--help belongs to the study's parser,
+        # which lists its axis and service flags.
         parser = argparse.ArgumentParser(
             prog="python -m repro jobs submit",
             description="Submit a journaled campaign job and run it; every "
                         "completed case lands in the job store, so a killed "
                         "or preempted campaign resumes from where it "
-                        "stopped.")
+                        "stopped.",
+            add_help=not _STUDIES.keys() & set(rest))
         parser.add_argument("kind", choices=list(_STUDIES))
         parser.add_argument("--store", metavar="DIR", default=None,
                             help="job store root (default: .repro-jobs, or "
                                  "$REPRO_JOBS_DIR)")
         args, campaign_argv = parser.parse_known_args(rest)
         return _study_main(args.kind, campaign_argv,
-                           store=JobStore(args.store), echo=True)
+                           store=JobStore(args.store), echo=True,
+                           prog="python -m repro jobs submit")
 
     if command in ("status", "list"):
         parser = argparse.ArgumentParser(

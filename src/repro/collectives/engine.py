@@ -36,9 +36,26 @@ Staging and flags are **per round**, for every schedule:
 * arrivals from different peers may reorder, so one cumulative counter
   could be satisfied by the wrong round's data.
 
-The NumPy oracle (:func:`schedule_reference`) interprets the same
-schedules round-by-round globally with the executors' association order
-(``chunk = chunk + arrival``), so correctness checks are bitwise.
+A reduce round's staging buffer lives only while that round is in
+flight: whichever of the sender (a put's target address) and the
+receiver (a posted receive) addresses it first allocates it, and reducing
+its last slice unmaps it (``AddressSpace.free``) and drops its payload.
+No buffer is ever shared between two rounds, and a late put to a retired
+round fails loudly at the DMA on an unmapped address.  The live buffers
+per rank are bounded by how far ahead a round is addressed -- one round
+for cpu/hdn, the next staged put for gds, three rounds of registered
+slice puts for GPU-TN -- not by the round count.
+
+The NumPy oracle runs in :meth:`CollectiveExperiment.setup`, before any
+executor does: :func:`_expected_results` interprets the schedules over
+column blocks of the live vectors (about 1/``_ORACLE_BLOCKS`` of their
+size each) with the executors' association order (``chunk = chunk +
+arrival``), checks every block against an order-free float64 reference,
+and keeps only the distinct expected results -- one array for an
+allreduce.  ``finish`` compares bitwise.  :func:`schedule_reference` is
+the same interpretation written rank by rank, kept as the plain
+statement the blockwise one is tested against.  A point so holds its
+vectors once, plus the expected results and the staging in flight.
 """
 
 from __future__ import annotations
@@ -53,7 +70,7 @@ from repro.collectives.algorithms import SCHEDULE_BUILDERS
 from repro.collectives.schedule import CollectiveSchedule, OpKind, ScheduleOp
 from repro.config import SystemConfig
 from repro.gpu.kernel import KernelDescriptor
-from repro.memory import Agent
+from repro.memory import Agent, Buffer
 from repro.runtime import Experiment
 from repro.sim import AllOf
 
@@ -118,13 +135,9 @@ class _ZooRank:
         self.dest = (self.vector if schedule.in_place else
                      node.host.alloc(nbytes, name=f"{node.name}.zout"))
         self.rounds = [_round_ops(ops) for ops in schedule.rounds]
-        # Per-round staging for reduce arrivals, per-round arrival words.
-        self.staging = [
-            node.host.alloc(recv.nchunks * self.chunk_bytes,
-                            name=f"{node.name}.zstage{rnd}")
-            if is_reduce else None
-            for rnd, (_, recv, is_reduce) in enumerate(self.rounds)
-        ]
+        # Per-round staging for reduce arrivals, allocated when first
+        # addressed and unmapped once the round is reduced (stage/reduce).
+        self.staging: List[Optional[Buffer]] = [None] * len(self.rounds)
         self.flags = node.host.alloc(4 * max(1, len(self.rounds)),
                                      name=f"{node.name}.zflags")
         if schedule.collective == "alltoall":
@@ -133,6 +146,13 @@ class _ZooRank:
                        (self.rank + 1) * self.chunk_bytes // 4)
             self.dest.view(_F4)[sl] = self.vector.view(_F4)[sl]
 
+    def result(self) -> np.ndarray:
+        """This rank's result: its destination as ``(n_chunks, chunk)``
+        rows, or its ``result_chunk`` row alone."""
+        rows = self.dest.view(_F4).reshape(self.schedule.n_chunks, -1)
+        first = self.schedule.result_chunk
+        return rows[first] if first >= 0 else rows
+
     def op_bytes(self, op: ScheduleOp) -> int:
         return op.nchunks * self.chunk_bytes
 
@@ -140,27 +160,43 @@ class _ZooRank:
         return buf.view(_F4, count=self.op_bytes(op) // 4,
                         offset=op.chunk * self.chunk_bytes)
 
+    def stage(self, rnd: int) -> Buffer:
+        """Reduce round ``rnd``'s staging buffer, allocated by whichever of
+        the sender and the receiver addresses it first.  Once the round is
+        reduced this is the retired, unmapped buffer: a late put to its
+        address fails at the DMA."""
+        buf = self.staging[rnd]
+        if buf is None:
+            _, recv, _ = self.rounds[rnd]
+            buf = self.staging[rnd] = self.node.host.alloc(
+                self.op_bytes(recv), name=f"{self.node.name}.zstage{rnd}")
+        return buf
+
     def landing_addr(self, rnd: int) -> int:
         """Where this rank's round-``rnd`` arrival lands (put target)."""
         _, recv, is_reduce = self.rounds[rnd]
         if is_reduce:
-            return self.staging[rnd].addr()
+            return self.stage(rnd).addr()
         return self.dest.addr(recv.chunk * self.chunk_bytes)
 
     def reduce(self, rnd: int, agent: Agent, time: int, lo: int = 0,
                hi: Optional[int] = None) -> None:
         """Combine elements ``[lo, hi)`` (default: all) of round ``rnd``'s
-        staged block into the vector."""
+        staged block into the vector; reducing the block's last element
+        retires the round's staging."""
         _, recv, _ = self.rounds[rnd]
+        n_elems = self.op_bytes(recv) // 4
         if hi is None:
-            hi = self.op_bytes(recv) // 4
-        self.node.mem.record_read(time, agent, self.staging[rnd],
-                                  lo=4 * lo, hi=4 * hi)
-        self.block_view(self.vector, recv)[lo:hi] += (
-            self.staging[rnd].view(_F4)[lo:hi])
+            hi = n_elems
+        stage = self.staging[rnd]
+        self.node.mem.record_read(time, agent, stage, lo=4 * lo, hi=4 * hi)
+        self.block_view(self.vector, recv)[lo:hi] += stage.view(_F4)[lo:hi]
         base = recv.chunk * self.chunk_bytes
         self.node.mem.record_write(time, agent, self.vector,
                                    lo=base + 4 * lo, hi=base + 4 * hi)
+        if hi == n_elems:
+            self.node.space.free(stage)
+            stage.release()
 
     def slices(self, op: ScheduleOp) -> List[Tuple[int, int]]:
         """Element ranges of ``op``'s block, one per work-group slice; the
@@ -232,7 +268,7 @@ def _cpu_zoo(state: _ZooRank, peers: Dict[int, Node]):
     for rnd, (send, recv, is_reduce) in enumerate(state.rounds):
         if is_reduce:
             handle = host.post_recv(_wire_tag(recv.peer, rnd),
-                                    state.staging[rnd], state.op_bytes(recv))
+                                    state.stage(rnd), state.op_bytes(recv))
         else:
             handle = host.post_recv(_wire_tag(recv.peer, rnd), state.dest,
                                     state.op_bytes(recv),
@@ -268,7 +304,7 @@ def _hdn_zoo(state: _ZooRank, peers: Dict[int, Node]):
     for rnd, (send, recv, is_reduce) in enumerate(state.rounds):
         if is_reduce:
             handle = host.post_recv(_wire_tag(recv.peer, rnd),
-                                    state.staging[rnd], state.op_bytes(recv))
+                                    state.stage(rnd), state.op_bytes(recv))
         else:
             handle = host.post_recv(_wire_tag(recv.peer, rnd), state.dest,
                                     state.op_bytes(recv),
@@ -422,14 +458,11 @@ def schedule_reference(schedules: List[CollectiveSchedule],
     Reproduces the executors' exact association order
     (``block = block + arrival``) so comparisons are bitwise.  Returns
     each rank's destination buffer (the vector itself for in-place
-    schedules, the separate output for all-to-all).
+    schedules, the separate output for all-to-all).  This is the plain,
+    rank-by-rank statement of the interpretation; experiments use its
+    blockwise form, :func:`_expected_results`.
     """
-    return _interpret(schedules, [v.astype(_F4, copy=True) for v in vectors])
-
-
-def _interpret(schedules: List[CollectiveSchedule],
-               vecs: List[np.ndarray]) -> List[np.ndarray]:
-    """:func:`schedule_reference` on float32 ``vecs`` it may overwrite."""
+    vecs = [v.astype(_F4, copy=True) for v in vectors]
     n = len(schedules)
     ch = vecs[0].size // schedules[0].n_chunks
     in_place = schedules[0].in_place
@@ -459,31 +492,120 @@ def _interpret(schedules: List[CollectiveSchedule],
     return outs
 
 
+#: The oracle interprets the schedules over this many column blocks of the
+#: vectors, so its working set is about this fraction of their total size.
+_ORACLE_BLOCKS = 8
+
+
+def _round_moves(schedules: List[CollectiveSchedule]
+                 ) -> List[Tuple[np.ndarray, ...]]:
+    """Each round as row moves over the ``(rank, chunk)`` rows of all
+    ranks' vectors stacked (row ``rank * n_chunks + chunk``): the source
+    and destination rows of the blocks that reduce on arrival, then of the
+    blocks that land as they are."""
+    n_chunks = schedules[0].n_chunks
+    rounds = [[_round_ops(ops) for ops in s.rounds] for s in schedules]
+    moves = []
+    for rnd in range(len(rounds[0])):
+        rows: Tuple[List[int], ...] = ([], [], [], [])
+        for r, ranks_rounds in enumerate(rounds):
+            send, _, _ = ranks_rounds[rnd]
+            _, recv, is_reduce = rounds[send.peer][rnd]
+            src = r * n_chunks + send.chunk
+            dst = send.peer * n_chunks + recv.chunk
+            k = 0 if is_reduce else 2
+            rows[k].extend(range(src, src + send.nchunks))
+            rows[k + 1].extend(range(dst, dst + recv.nchunks))
+        moves.append(tuple(np.array(r, dtype=np.intp) for r in rows))
+    return moves
+
+
 def _semantic_reference(schedules: List[CollectiveSchedule],
-                        vectors: List[np.ndarray]) -> List[np.ndarray]:
-    """Order-free float64 reference for the collective's *meaning* -- a
-    tolerance cross-check that the schedule interpreter and the schedules
-    aren't wrong in the same way."""
+                        block: np.ndarray) -> List[np.ndarray]:
+    """Order-free float64 reference for the collective's *meaning* over
+    one column block (``block[rank, chunk]``, the initial data), shaped
+    like each rank's result rows -- a tolerance cross-check that the
+    schedule interpreter and the schedules aren't wrong in the same way.
+    Ranks with the same result share one array."""
     n = len(schedules)
     kind = schedules[0].collective
-    ch = vectors[0].size // schedules[0].n_chunks
     if kind in ("allreduce", "reduce_scatter"):
-        total = vectors[0].astype(np.float64)
-        for v in vectors[1:]:
-            total += v
+        total = block.sum(axis=0, dtype=np.float64)
         if kind == "allreduce":
             return [total] * n
-        return [total[s.result_chunk * ch:(s.result_chunk + 1) * ch]
-                for s in schedules]
+        return [total[s.result_chunk] for s in schedules]
     if kind == "allgather":
-        out = np.concatenate([vectors[r][r * ch:(r + 1) * ch]
-                              for r in range(n)]).astype(np.float64)
-        return [out] * n
+        return [block[np.arange(n), np.arange(n)].astype(np.float64)] * n
     if kind == "alltoall":
-        return [np.concatenate([vectors[s][r * ch:(r + 1) * ch]
-                                for s in range(n)]).astype(np.float64)
-                for r in range(n)]
+        return [block[:, r].astype(np.float64) for r in range(n)]
     raise ValueError(f"unknown collective kind {kind!r}")
+
+
+def _expected_results(schedules: List[CollectiveSchedule],
+                      vectors: List[np.ndarray]
+                      ) -> Tuple[List[np.ndarray], bool]:
+    """Every rank's expected result, interpreted before the run.
+
+    An op moves whole chunks, so element ``j`` of a chunk only ever meets
+    element ``j`` of other chunks: the schedules run exactly over column
+    blocks of the stacked vectors, one block at a time, each round as one
+    gather of every send block (the pre-round state, as the executors
+    read it) and one scatter(-add) into the receivers' blocks.  The result
+    is bitwise :func:`schedule_reference`; ``vectors`` are not modified.
+
+    Returns one array per rank, shaped like :meth:`_ZooRank.result`, with
+    ranks of equal results sharing one array (one in all for an
+    allreduce), and whether every block matched
+    :func:`_semantic_reference`.
+    """
+    n = len(schedules)
+    n_chunks = schedules[0].n_chunks
+    ch = vectors[0].size // n_chunks
+    width = -(-ch // _ORACLE_BLOCKS)
+    in_place = schedules[0].in_place
+    moves = _round_moves(schedules)
+    # Ranks whose semantic result is shared may share an expected array:
+    # ``owner[r]`` is the rank whose array stands for r's, split off
+    # the first time a block tells them apart.
+    shared = schedules[0].collective in ("allreduce", "allgather")
+    owner = [0] * n if shared else list(range(n))
+    first = [s.result_chunk for s in schedules]
+    expected: Dict[int, np.ndarray] = {
+        r: np.empty(ch if first[r] >= 0 else (n_chunks, ch), _F4)
+        for r in sorted(set(owner))}
+
+    def rows(out: np.ndarray, r: int) -> np.ndarray:
+        base = r * n_chunks
+        return out[base + first[r]] if first[r] >= 0 else out[base:base + n_chunks]
+
+    semantic_ok = True
+    block = np.empty((n, n_chunks, width), _F4)
+    for lo in range(0, ch, width):
+        hi = min(lo + width, ch)
+        blk = block[:, :, :hi - lo]
+        for r, vec in enumerate(vectors):
+            blk[r] = vec.reshape(n_chunks, ch)[:, lo:hi]
+        semantic = _semantic_reference(schedules, blk)
+        vecs = blk.reshape(n * n_chunks, hi - lo)
+        outs = vecs if in_place else vecs.copy()
+        for red_src, red_dst, put_src, put_dst in moves:
+            # Both gathers copy, so each round reads its pre-round state.
+            landed = vecs[put_src] if put_src.size else None
+            if red_src.size:
+                vecs[red_dst] += vecs[red_src]
+            if landed is not None:
+                outs[put_dst] = landed
+        for r in range(n):
+            got, o = rows(outs, r), owner[r]
+            if o != r and not np.array_equal(got, rows(outs, o)):
+                # r has matched o so far: its columns before lo are o's.
+                expected[r] = expected[o].copy()
+                owner[r] = o = r
+            if o == r:
+                expected[r][..., lo:hi] = got
+                semantic_ok = semantic_ok and bool(
+                    np.allclose(got, semantic[r], rtol=1e-4))
+    return [expected[owner[r]] for r in range(n)], semantic_ok
 
 
 # --------------------------------------------------------------------------
@@ -560,7 +682,8 @@ class CollectiveExperiment(Experiment):
         states = [_ZooRank(cluster[r], schedules[r], nbytes, params["seed"])
                   for r in range(n_nodes)]
         _check_pairing(states)
-        initial = [s.vector.view(_F4).copy() for s in states]
+        expected, semantic_ok = _expected_results(
+            schedules, [s.vector.view(_F4) for s in states])
         peers = {r: cluster[r] for r in range(n_nodes)}
         for r in range(n_nodes):
             cluster[r].host._zoo_state = states[r]  # type: ignore[attr-defined]
@@ -569,34 +692,16 @@ class CollectiveExperiment(Experiment):
                                name=f"zoo.{schedule}.{params['strategy']}.{r}")
                  for r in range(n_nodes)]
         return {"procs": procs, "states": states, "schedules": schedules,
-                "initial": initial, "nbytes": nbytes}
+                "expected": expected, "semantic_ok": semantic_ok,
+                "nbytes": nbytes}
 
     def finish(self, cluster: Cluster, ctx: Dict[str, Any],
                params: Dict[str, Any]):
         procs, states = ctx["procs"], ctx["states"]
         schedules = ctx["schedules"]
-        # The semantic reference reads the snapshots before the bitwise
-        # interpreter overwrites them in place.
-        semantic = _semantic_reference(schedules, ctx["initial"])
-        expected = _interpret(schedules, ctx["initial"])
-        ch = ctx["nbytes"] // schedules[0].n_chunks // 4
-        correct, checked = True, None
-        for st, sched, exp, sem in zip(states, schedules, expected, semantic):
-            got = st.dest.view(_F4)
-            if sched.result_chunk >= 0:
-                sl = slice(sched.result_chunk * ch,
-                           (sched.result_chunk + 1) * ch)
-                got, exp = got[sl], exp[sl]
-            correct = bool((got == exp).all())
-            # With got == exp bitwise, checking exp against the semantic
-            # reference checks got; a pair equal to the one just checked
-            # (every rank's result in an allreduce) needs no second look.
-            if correct and not (checked is not None and checked[1] is sem
-                                and np.array_equal(checked[0], exp)):
-                correct = bool(np.allclose(exp, sem, rtol=1e-4))
-                checked = (exp, sem)
-            if not correct:
-                break
+        correct = ctx["semantic_ok"] and all(
+            np.array_equal(st.result(), exp)
+            for st, exp in zip(states, ctx["expected"]))
         schedule, topology = self.shape(params)
         result = CollectiveResult(
             schedule=schedule, strategy=params["strategy"],

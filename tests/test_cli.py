@@ -49,6 +49,21 @@ class TestCliSmoke:
         proc = _run_cli(["tab1", "--jobs", "0"], cwd=tmp_path)
         assert proc.returncode != 0
 
+    def test_jobs_submit_help_lists_the_studys_flags(self, tmp_path):
+        proc = _run_cli(["jobs", "submit", "congestion", "--help"],
+                        cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "jobs submit congestion" in proc.stdout
+        for flag in ("--loads", "--disciplines", "--transports",
+                     "--strategies", "--jobs", "--cache-dir"):
+            assert flag in proc.stdout, flag
+        assert not (tmp_path / ".repro-jobs").exists()
+
+    def test_jobs_submit_help_without_a_study(self, tmp_path):
+        proc = _run_cli(["jobs", "submit", "--help"], cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert "--store" in proc.stdout and "congestion" in proc.stdout
+
 
 class TestTraceExport:
     @pytest.fixture(scope="class")
