@@ -7,7 +7,8 @@ One command::
 
 The fixtures pin the paper's headline exhibits as canonical records --
 Figure 8's latency decomposition (GPU-TN ~2.71 us vs GDS ~3.76 us vs HDN
-~4.21 us target completion), a Figure 9 Jacobi point and Figure 10's
+~4.21 us target completion), Figure 9's 2x2 GPU-TN Jacobi point plus
+every Jacobi strategy on a 3x3 grid, and Figure 10's
 8-node / 8 MiB Allreduce -- so any code change that shifts a simulated
 metric fails ``tests/test_golden_records.py`` with a field-level diff.
 Only regenerate after verifying the new numbers are *intended* (e.g. a
@@ -31,6 +32,12 @@ GOLDEN_POINTS = {
     "microbench-gds": ("microbench", {"strategy": "gds"}),
     "microbench-hdn": ("microbench", {"strategy": "hdn"}),
     "jacobi-gputn": ("jacobi", {"strategy": "gputn"}),
+    # A 3x3 grid at iters=4: the interior rank has four neighbours, and
+    # the GPU-TN re-arm window starts freeing entries at iteration 3.
+    **{f"jacobi-3x3-{s}": ("jacobi", {"strategy": s, "px": 3, "py": 3,
+                                      "n": 32, "iters": 4})
+       for s in ("cpu", "hdn", "gds", "gputn", "gputn-persistent",
+                 "gputn-overlap")},
     "allreduce-gputn": ("allreduce", {"strategy": "gputn", "n_nodes": 8}),
     "allreduce-cpu": ("allreduce", {"strategy": "cpu", "n_nodes": 8}),
     "allreduce-hdn": ("allreduce", {"strategy": "hdn", "n_nodes": 8}),
