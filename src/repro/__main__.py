@@ -534,13 +534,24 @@ def _finish(study: _Study, run, json_path=None) -> int:
     return study.tally(report)
 
 
-def _study_main(name: str, argv, store=None, echo: bool = False,
-                prog: str = "python -m repro") -> int:
+_STORE_HELP = "job store root (default: .repro-jobs, or $REPRO_JOBS_DIR)"
+
+
+def _study_main(name: str, argv, echo: bool = False, submit: bool = False,
+                store_dir=None) -> int:
+    """Run study ``name`` from its flags; ``submit`` runs it as a
+    journaled job in the ``store_dir`` job store (``jobs submit``)."""
     study = _STUDIES[name]
+    prog = "python -m repro jobs submit" if submit else "python -m repro"
     parser = argparse.ArgumentParser(prog=f"{prog} {name}",
                                      description=study.description)
     study.add_args(parser)
     add_service_args(parser, study.noun)
+    if submit:
+        # `jobs submit` has read --store already; declaring it again
+        # lists it in the study's help.
+        parser.add_argument("--store", dest="job_store", metavar="DIR",
+                            default=store_dir, help=_STORE_HELP)
     args = parser.parse_args(argv)
     check_service_args(parser, args)
     study.check(parser, args)
@@ -552,6 +563,11 @@ def _study_main(name: str, argv, store=None, echo: bool = False,
     params = inspect.signature(driver).parameters
     axes = {k: v for k, v in vars(args).items() if k in params}
     cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    store = None
+    if submit:
+        from repro.service import JobStore
+
+        store = JobStore(args.job_store)
     return _finish(study, lambda: driver(
         **axes, cache=cache, store=store,
         progress=study.progress if echo else None), args.json)
@@ -605,12 +621,10 @@ def _jobs_main(argv) -> int:
             add_help=not _STUDIES.keys() & set(rest))
         parser.add_argument("kind", choices=list(_STUDIES))
         parser.add_argument("--store", metavar="DIR", default=None,
-                            help="job store root (default: .repro-jobs, or "
-                                 "$REPRO_JOBS_DIR)")
+                            help=_STORE_HELP)
         args, campaign_argv = parser.parse_known_args(rest)
-        return _study_main(args.kind, campaign_argv,
-                           store=JobStore(args.store), echo=True,
-                           prog="python -m repro jobs submit")
+        return _study_main(args.kind, campaign_argv, echo=True, submit=True,
+                           store_dir=args.store)
 
     if command in ("status", "list"):
         parser = argparse.ArgumentParser(

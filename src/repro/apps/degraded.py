@@ -26,10 +26,8 @@ import numpy as np
 
 from repro.cluster import Cluster
 from repro.config import FaultConfig, ReliabilityConfig, SystemConfig
-from repro.nic.transport import TransportError
 from repro.runtime import Experiment, ResultCache, Sweep
-from repro.sim import AnyOf
-from repro.strategies import get_flow
+from repro.strategies.flows import message_stream
 
 __all__ = ["DEGRADED_LOSS_RATES", "DegradedExperiment", "degraded_report",
            "run_degraded_sweep"]
@@ -75,73 +73,13 @@ class DegradedExperiment(Experiment):
         outcome: Dict[str, Any] = {"latencies": [], "delivered": 0,
                                    "gave_up": False, "span_ns": 0}
         driver = cluster.spawn(
-            self._stream(cluster, params, outcome), name="degraded-stream")
+            message_stream(cluster, cluster[1], params["strategy"],
+                           int(params["nbytes"]), int(params["messages"]),
+                           outcome, prefix="deg", pattern=_PATTERN,
+                           wire_tag_base=_BASE_WIRE_TAG,
+                           trig_tag_base=_BASE_TRIG_TAG),
+            name="degraded-stream")
         return {"procs": [driver], "outcome": outcome}
-
-    def _stream(self, cluster: Cluster, params: Dict[str, Any],
-                outcome: Dict[str, Any]):
-        strategy = params["strategy"]
-        nbytes = int(params["nbytes"])
-        initiator, target = cluster[0], cluster[1]
-        init_fn, target_fn = get_flow(strategy)
-        one_sided = strategy in ("gds", "gputn", "gpu-host", "gpu-native")
-        send_buf = initiator.host.alloc(nbytes, name="deg-send")
-        recv_buf = target.host.alloc(nbytes, name="deg-recv")
-        remote_addr = recv_buf.addr() if one_sided else None
-        # The strategies' initiators only wait on *local* completion,
-        # which succeeds long before a retry budget can die -- watch the
-        # transport's give-up probe so a dead flow ends the stream
-        # instead of parking it on a starved receiver.
-        give_up_ev = cluster.sim.event("deg-give-up")
-        initiator.nic.transport.probes.append(
-            lambda kind, peer, seq, now: kind == "give-up"
-            and not give_up_ev.triggered and give_up_ev.succeed(now))
-        start = cluster.sim.now
-        for i in range(int(params["messages"])):
-            wire_tag = _BASE_WIRE_TAG + i
-            kwargs: Dict[str, Any] = {}
-            if strategy == "gputn":
-                kwargs["tag"] = _BASE_TRIG_TAG + i
-            t0 = cluster.sim.now
-            tproc = cluster.spawn(
-                target_fn(target, recv_buf, nbytes, wire_tag),
-                name=f"deg-target-{i}")
-            iproc = cluster.spawn(
-                init_fn(initiator, target.name, send_buf, nbytes, remote_addr,
-                        wire_tag, pattern=_PATTERN, **kwargs),
-                name=f"deg-init-{i}")
-            gave_up = False
-            try:
-                yield iproc
-                done = yield AnyOf(cluster.sim, [tproc, give_up_ev])
-                gave_up = tproc not in done
-                observed_at = done.get(tproc)
-            except TransportError:
-                gave_up = True
-            if gave_up:
-                # The retry budget died: end the stream as a structured
-                # outcome and reap whichever side is still parked.
-                outcome["gave_up"] = True
-                for proc in (tproc, iproc):
-                    if not proc.processed:
-                        proc.kill()
-                break
-            if strategy == "gputn":
-                # Reap the fired trigger entry: the associative lookup
-                # holds only 16 slots and a stream outlives that.
-                entry = initiator.nic.trigger_list.entry(kwargs["tag"])
-                if entry is not None:
-                    initiator.nic.trigger_list.free(entry)
-            latency = int(observed_at) - t0
-            outcome["latencies"].append(latency)
-            if cluster.metrics is not None:
-                # App-level view of the same messages the NIC histogram
-                # times; `repro stats` cross-checks the two.
-                cluster.metrics.histogram("app.message_latency_ns").record(
-                    latency)
-            outcome["delivered"] += 1
-        outcome["span_ns"] = cluster.sim.now - start
-        return outcome["delivered"]
 
     def drive(self, cluster: Cluster, ctx: Dict[str, Any],
               params: Dict[str, Any]) -> None:

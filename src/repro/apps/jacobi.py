@@ -17,9 +17,13 @@ The four strategies differ exactly as in the paper:
 * **gds**   -- the CPU pre-stages one-sided puts and enqueues doorbells
   behind each iteration's kernel; ghost arrival is polled on the host
   before the next launch;
-* **gputn** -- a single *persistent* kernel runs all iterations,
-  triggering halo puts in-kernel and polling ghost-arrival flags
-  in-kernel; the CPU re-arms trigger entries off the critical path.
+* **gputn** -- one kernel per iteration, enqueued back to back; each
+  triggers its halo puts in-kernel and polls ghost-arrival flags
+  in-kernel, while the CPU re-arms trigger entries off the critical path.
+
+Two extensions are shapes of the same GPU-TN driver: **gputn-overlap**
+computes the interior while the halos are in flight, and
+**gputn-persistent** runs all iterations in a single persistent kernel.
 
 Numerical correctness is end-to-end: the halo payloads are real floats
 and the distributed result is asserted against a single-grid NumPy
@@ -30,12 +34,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster import Cluster, Node
-from repro.config import SystemConfig, default_config
+from repro.config import SystemConfig
 from repro.gpu.kernel import KernelContext, KernelDescriptor
 from repro.memory import Agent, Buffer
 from repro.runtime import Experiment
@@ -196,32 +201,8 @@ def assemble(tiles: List[_JacobiTile], px: int, py: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Shared kernel pieces
+# Shared pieces
 # --------------------------------------------------------------------------
-
-def _stencil_kernel(ctx: KernelContext):
-    """One iteration's compute + pack, at work-group granularity.
-
-    Work-group 0 performs the actual numerics (zero simulated cost); all
-    groups charge their share of the streaming time.
-    """
-    tile: _JacobiTile = ctx.arg("tile")
-    parity: int = ctx.arg("parity")
-    if ctx.wg_id == 0:
-        tile.stencil_update(Agent.GPU)
-        tile.pack_edges(parity, Agent.GPU, ctx.sim.now)
-    share = (tile.stencil_bytes() + tile.pack_bytes()) // ctx.n_workgroups
-    yield ctx.compute_bytes(share)
-    yield ctx.barrier()
-
-
-def _unpack_kernel_prologue(ctx: KernelContext, tile: _JacobiTile):
-    """Acquire + unpack ghosts at the top of an iteration (post-exchange)."""
-    yield ctx.fence_acquire_system(*tile.ghost.values())
-    if ctx.wg_id == 0:
-        tile.unpack_ghosts(Agent.GPU, ctx.sim.now)
-    yield ctx.compute_bytes(tile.pack_bytes() // ctx.n_workgroups)
-
 
 def _grid_workgroups(node: Node) -> int:
     return node.config.gpu.compute_units
@@ -231,12 +212,77 @@ def _wire_tag(rank: int, d: str) -> int:
     return 0x7A00 + rank * 8 + _DIRS.index(d)
 
 
+def _trig_tag(rank: int, d: str, it: int) -> int:
+    """GPU-TN trigger tag of ``rank``'s iteration-``it`` put towards ``d``."""
+    return 0x2000 + rank * 4096 + it * len(_DIRS) + _DIRS.index(d)
+
+
+def _halo_put(tile: _JacobiTile, tiles: List[_JacobiTile], d: str,
+              parity: int) -> Dict[str, Any]:
+    """The one-sided put shipping ``tile``'s ``d`` edge into the
+    neighbour's opposite ghost buffer (put keyword arguments)."""
+    buf, peer = tile.send[(d, parity)], tiles[tile.neighbors[d]]
+    return {"buf": buf, "nbytes": buf.nbytes, "target": peer.node.name,
+            "remote_addr": peer.ghost[_OPP[d]].addr(),
+            "wire_tag": _wire_tag(tile.rank, d)}
+
+
+def _expose_ghost_flags(tile: _JacobiTile) -> None:
+    """Arrival flags for the neighbours' one-sided ghost puts."""
+    for d, peer_rank in tile.neighbors.items():
+        tile.node.nic.expose_rx_flag(_wire_tag(peer_rank, _OPP[d]),
+                                     (tile.rx_flag[d], 0))
+
+
+def _exchange_two_sided(tile: _JacobiTile, tiles: List[_JacobiTile],
+                        parity: int):
+    """CPU-driven halo exchange: post every receive, send every edge,
+    then progress until all ghosts have arrived."""
+    host = tile.node.host
+    recvs = [host.post_recv(_wire_tag(peer_rank, _OPP[d]), tile.ghost[d],
+                            tile.ghost[d].nbytes)
+             for d, peer_rank in tile.neighbors.items()]
+    for d, peer_rank in tile.neighbors.items():
+        buf = tile.send[(d, parity)]
+        yield from host.send(buf, buf.nbytes, tiles[peer_rank].node.name,
+                             _wire_tag(tile.rank, d))
+    for handle in recvs:
+        yield from host.wait_recv(handle)
+
+
+def _iteration_kernel(tile: _JacobiTile, it: int,
+                      strategy: str) -> KernelDescriptor:
+    """HDN/GDS: one uniform kernel per iteration that unpacks the ghosts
+    received since the last one, updates, and publishes its edges before
+    exit so the coherent CPU/NIC can ship them at the kernel boundary.
+    Work-group 0 does the numerics (zero simulated cost); every group
+    charges its share of the streaming time."""
+    parity = it & 1
+
+    def kernel(ctx):
+        lead, n_wg = ctx.wg_id == 0, ctx.n_workgroups
+        if it > 0:
+            yield ctx.fence_acquire_system(*tile.ghost.values())
+            if lead:
+                tile.unpack_ghosts(Agent.GPU, ctx.sim.now)
+            yield ctx.compute_bytes(tile.pack_bytes() // n_wg)
+        if lead:
+            tile.stencil_update(Agent.GPU)
+            tile.pack_edges(parity, Agent.GPU, ctx.sim.now)
+        yield ctx.compute_bytes((tile.stencil_bytes() + tile.pack_bytes()) // n_wg)
+        yield ctx.barrier()
+        yield ctx.fence_release_system(*(tile.send[(d, parity)] for d in tile.neighbors))
+
+    return KernelDescriptor(fn=kernel, n_workgroups=_grid_workgroups(tile.node),
+                            name=f"jacobi-{strategy}-{it}", uniform=True)
+
+
 # --------------------------------------------------------------------------
 # Per-strategy node drivers
 # --------------------------------------------------------------------------
 
-def _cpu_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node], iters: int):
-    host = node.host
+def _cpu_node(tile: _JacobiTile, tiles: List[_JacobiTile], iters: int):
+    node, host = tile.node, tile.node.host
     for it in range(iters):
         parity = it & 1
         tile.stencil_update(Agent.CPU)
@@ -245,67 +291,32 @@ def _cpu_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node], iters: int)
         yield node.sim.timeout(node.config.cpu.omp_region_ns)
         yield from host.compute_bytes(tile.stencil_bytes() + tile.pack_bytes(),
                                       phase="jacobi-cpu")
-        recvs = {}
-        for d, peer_rank in tile.neighbors.items():
-            recvs[d] = host.post_recv(_wire_tag(peer_rank, _OPP[d]),
-                                      tile.ghost[d], tile.ghost[d].nbytes)
-        for d, peer_rank in tile.neighbors.items():
-            yield from host.send(tile.send[(d, parity)], tile.send[(d, parity)].nbytes,
-                                 peers[peer_rank].name, _wire_tag(tile.rank, d))
-        for d in tile.neighbors:
-            yield from host.wait_recv(recvs[d])
+        yield from _exchange_two_sided(tile, tiles, parity)
         tile.unpack_ghosts(Agent.CPU, node.sim.now)
     return node.sim.now
 
 
-def _hdn_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node], iters: int):
-    host = node.host
+def _hdn_node(tile: _JacobiTile, tiles: List[_JacobiTile], iters: int):
+    node, host = tile.node, tile.node.host
     for it in range(iters):
-        parity = it & 1
-
-        def kernel(ctx, _it=it):
-            if _it > 0:
-                yield from _unpack_kernel_prologue(ctx, ctx.arg("tile"))
-            yield from _stencil_kernel(ctx)
-            # Kernel-boundary strategy: publish edges before exit so the
-            # coherent CPU/NIC can ship them.
-            yield ctx.fence_release_system(
-                *(ctx.arg("tile").send[(d, ctx.arg("parity"))]
-                  for d in ctx.arg("tile").neighbors))
-
-        desc = KernelDescriptor(fn=kernel, n_workgroups=_grid_workgroups(node),
-                                args={"tile": tile, "parity": parity},
-                                name=f"jacobi-hdn-{it}", uniform=True)
-        inst = yield from host.launch_kernel(desc)
+        inst = yield from host.launch_kernel(_iteration_kernel(tile, it, "hdn"))
         # A hand-tuned stencil loop spin-waits on kernel completion (the
         # blocking 10 us sync path belongs to library-mediated waits; see
         # the Allreduce executors).
         yield from host.wait_kernel(inst, mode="spin")
-        recvs = {}
-        for d, peer_rank in tile.neighbors.items():
-            recvs[d] = host.post_recv(_wire_tag(peer_rank, _OPP[d]),
-                                      tile.ghost[d], tile.ghost[d].nbytes)
-        for d, peer_rank in tile.neighbors.items():
-            yield from host.send(tile.send[(d, parity)], tile.send[(d, parity)].nbytes,
-                                 peers[peer_rank].name, _wire_tag(tile.rank, d))
-        for d in tile.neighbors:
-            yield from host.wait_recv(recvs[d])
+        yield from _exchange_two_sided(tile, tiles, it & 1)
     return node.sim.now
 
 
-def _gds_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node], iters: int):
-    host = node.host
-    # Expose arrival flags for one-sided ghost puts.
-    for d, peer_rank in tile.neighbors.items():
-        node.nic.expose_rx_flag(_wire_tag(peer_rank, _OPP[d]), (tile.rx_flag[d], 0))
+def _gds_node(tile: _JacobiTile, tiles: List[_JacobiTile], iters: int):
+    node, host = tile.node, tile.node.host
+    _expose_ghost_flags(tile)
+
     def stage_puts(parity: int):
         handles = []
-        for d, peer_rank in tile.neighbors.items():
-            peer_tile: _JacobiTile = peers[peer_rank].host._jacobi_tile  # type: ignore[attr-defined]
-            h = yield from host.put(
-                tile.send[(d, parity)], tile.send[(d, parity)].nbytes,
-                peers[peer_rank].name, peer_tile.ghost[_OPP[d]].addr(),
-                wire_tag=_wire_tag(tile.rank, d), deferred=True)
+        for d in tile.neighbors:
+            h = yield from host.put(**_halo_put(tile, tiles, d, parity),
+                                    deferred=True)
             handles.append(h)
         return handles
 
@@ -313,20 +324,7 @@ def _gds_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node], iters: int)
     # staged while the previous kernel runs (GDS pre-posts ahead of time).
     staged = yield from stage_puts(0)
     for it in range(iters):
-        parity = it & 1
-
-        def kernel(ctx, _it=it):
-            if _it > 0:
-                yield from _unpack_kernel_prologue(ctx, ctx.arg("tile"))
-            yield from _stencil_kernel(ctx)
-            yield ctx.fence_release_system(
-                *(ctx.arg("tile").send[(d, ctx.arg("parity"))]
-                  for d in ctx.arg("tile").neighbors))
-
-        desc = KernelDescriptor(fn=kernel, n_workgroups=_grid_workgroups(node),
-                                args={"tile": tile, "parity": parity},
-                                name=f"jacobi-gds-{it}", uniform=True)
-        inst = yield from host.launch_kernel(desc)
+        inst = yield from host.launch_kernel(_iteration_kernel(tile, it, "gds"))
         for h in staged:
             node.gpu.enqueue_doorbell(h)
         if it + 1 < iters:
@@ -339,240 +337,106 @@ def _gds_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node], iters: int)
     return node.sim.now
 
 
-def _gputn_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node], iters: int):
-    """GPU-TN with one kernel per iteration (the paper's Figure 9 setup).
-
-    Each kernel triggers its halo puts *in-kernel* as soon as the edges
-    are published -- so the wire time overlaps the kernel tail and the
-    next kernel's launch -- and waits for inbound halos with in-kernel
-    polls instead of host-side polling between launches.  Kernels for all
-    iterations are enqueued back to back; inter-node data dependencies are
-    enforced by the in-kernel polls, not by the host.  The CPU re-arms
-    trigger entries concurrently (relaxed synchronization, §3.2).
+def _gputn_iteration(ctx: KernelContext, tile: _JacobiTile, it: int, cost,
+                     overlap: bool):
+    """One GPU-TN iteration in-kernel: poll for and unpack the
+    neighbours' halos, update, publish the edges and trigger their
+    pre-registered puts.  Work-group 0 polls, does the numerics and
+    triggers; ``cost(nbytes)`` charges streaming work.  With ``overlap``
+    only the boundary cells are charged before the triggers and the
+    interior after them, so it computes while the exchange is in flight.
     """
-    host = node.host
-    for d, peer_rank in tile.neighbors.items():
-        node.nic.expose_rx_flag(_wire_tag(peer_rank, _OPP[d]), (tile.rx_flag[d], 0))
+    lead = ctx.wg_id == 0
+    parity = it & 1
+    if it > 0 and lead:
+        for d in sorted(tile.neighbors):
+            yield from ctx.poll_flag(tile.rx_flag[d], at_least=it)
+        yield ctx.fence_acquire_system(*tile.ghost.values())
+        tile.unpack_ghosts(Agent.GPU, ctx.sim.now)
+        yield cost(tile.pack_bytes())
+    if lead:
+        # Numerics once up front (timing is charged in phases).
+        tile.stencil_update(Agent.GPU)
+        tile.pack_edges(parity, Agent.GPU, ctx.sim.now)
+    # Overlap charges only the boundary cells (4 edges, read + write) here.
+    before = 2 * 4 * tile.n * _F4.itemsize if overlap else tile.stencil_bytes()
+    yield cost(before + tile.pack_bytes())
+    yield ctx.barrier()
+    yield ctx.fence_release_system(*(tile.send[(d, parity)] for d in tile.neighbors))
+    if lead:
+        for d in sorted(tile.neighbors):
+            yield ctx.store_trigger(_trig_tag(tile.rank, d, it))
+    if overlap:
+        yield cost(max(tile.stencil_bytes() - before, 0))
 
+
+def _gputn_node(tile: _JacobiTile, tiles: List[_JacobiTile], iters: int,
+                shape: str):
+    """GPU-TN: halo puts triggered *in-kernel* as soon as the edges are
+    published, inbound halos awaited with in-kernel polls, and the CPU
+    re-arming trigger entries concurrently (relaxed synchronization,
+    §3.2).  ``shape`` is the kernel structure:
+
+    * ``per-iteration`` -- the paper's Figure 9 setup: one kernel per
+      iteration, all enqueued back to back; inter-node dependencies are
+      enforced by the in-kernel polls, not by the host.  The wire time
+      overlaps the kernel tail and the next kernel's launch.
+    * ``overlap`` -- extension: the same kernels, but each updates the
+      boundary cells first, triggers, and computes the interior while
+      the exchange is in flight.  The paper notes its Jacobi "does not
+      exploit overlap"; the in-kernel trigger makes it a two-line change
+      instead of a kernel split.
+    * ``persistent`` -- extension: one kernel runs *all* iterations,
+      amortizing launch/teardown across the run.  It is modeled as one
+      driving work-group charging whole-device streaming time: real
+      implementations synchronize the grid per iteration with
+      device-wide atomics, so the slowest path -- which sets the timing
+      -- is a single serialized iteration pipeline.
+    """
+    node, host = tile.node, tile.node.host
+    _expose_ghost_flags(tile)
     dirs = sorted(tile.neighbors)
-    tag_of = {(d, it): 0x2000 + tile.rank * 4096 + it * len(_DIRS) + _DIRS.index(d)
-              for d in dirs for it in range(iters)}
 
-    def kernel_for(it: int):
-        def kernel(ctx):
-            t: _JacobiTile = ctx.arg("tile")
-            parity = it & 1
-            if it > 0 and ctx.wg_id == 0:
-                for d in sorted(t.neighbors):
-                    yield from ctx.poll_flag(t.rx_flag[d], at_least=it)
-                yield ctx.fence_acquire_system(*t.ghost.values())
-                t.unpack_ghosts(Agent.GPU, ctx.sim.now)
-                yield ctx.compute_bytes(t.pack_bytes() // ctx.n_workgroups)
-            if ctx.wg_id == 0:
-                t.stencil_update(Agent.GPU)
-                t.pack_edges(parity, Agent.GPU, ctx.sim.now)
-            share = (t.stencil_bytes() + t.pack_bytes()) // ctx.n_workgroups
-            yield ctx.compute_bytes(share)
-            yield ctx.barrier()
-            yield ctx.fence_release_system(
-                *(t.send[(d, parity)] for d in t.neighbors))
-            if ctx.wg_id == 0:
-                for d in sorted(t.neighbors):
-                    yield ctx.store_trigger(tag_of[(d, it)])
-        kernel.__name__ = f"jacobi-gputn-{it}"
-        return kernel
-
-    def rearm():
-        """CPU-side registration loop, concurrent with kernel execution."""
-        live = []
+    def batches():
         for it in range(iters):
-            parity = it & 1
-            for d in dirs:
-                peer_rank = tile.neighbors[d]
-                peer_tile: _JacobiTile = peers[peer_rank].host._jacobi_tile  # type: ignore[attr-defined]
-                entry = yield from host.register_triggered_put(
-                    tag=tag_of[(d, it)], threshold=1,
-                    buf=tile.send[(d, parity)], nbytes=tile.send[(d, parity)].nbytes,
-                    target=peers[peer_rank].name,
-                    remote_addr=peer_tile.ghost[_OPP[d]].addr(),
-                    wire_tag=_wire_tag(tile.rank, d))
-                live.append(entry)
-            while len(live) > 2 * len(dirs):
-                done = live.pop(0)
-                yield node.nic.handle_for(done).local
-                node.nic.trigger_list.free(done)
-        for entry in live:
-            yield node.nic.handle_for(entry).local
-            node.nic.trigger_list.free(entry)
+            yield [dict(_halo_put(tile, tiles, d, it & 1),
+                        tag=_trig_tag(tile.rank, d, it), threshold=1)
+                   for d in dirs]
 
-    rearm_proc = node.sim.spawn(rearm(), name=f"{node.name}.rearm")
-    insts = []
-    for it in range(iters):
-        desc = KernelDescriptor(fn=kernel_for(it),
-                                n_workgroups=_grid_workgroups(node),
-                                args={"tile": tile},
-                                name=f"jacobi-gputn-{it}")
-        inst = yield from host.launch_kernel(desc)
-        insts.append(inst)
-    yield AllOf(node.sim, [insts[-1].finished, rearm_proc])
-    return node.sim.now
+    # Entries two iterations back must have fired, so the window frees
+    # them: the active-entry count stays within the prototype's 16.
+    rearm = node.sim.spawn(host.rearm_triggered_puts(batches(), 2 * len(dirs)),
+                           name=f"{node.name}.rearm")
 
-
-def _gputn_persistent_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node],
-                           iters: int):
-    """Extension: a single persistent kernel runs *all* iterations,
-    additionally amortizing launch/teardown across the whole run.
-
-    The CPU's only steady-state job is re-arming trigger entries, which it
-    does concurrently with kernel execution (relaxed synchronization).
-    """
-    host = node.host
-    for d, peer_rank in tile.neighbors.items():
-        node.nic.expose_rx_flag(_wire_tag(peer_rank, _OPP[d]), (tile.rx_flag[d], 0))
-
-    dirs = sorted(tile.neighbors)
-    tag_of = {(d, it): 0x2000 + tile.rank * 4096 + it * len(_DIRS) + _DIRS.index(d)
-              for d in dirs for it in range(iters)}
-
-    # The persistent kernel is modeled as one driving work-group charging
-    # whole-device streaming time: real implementations synchronize the
-    # grid per iteration with device-wide atomics, so the slowest path --
-    # which sets the timing -- is a single serialized iteration pipeline.
-    def kernel(ctx):
-        t: _JacobiTile = ctx.arg("tile")
+    def persistent_kernel(ctx):
         rate = ctx.config.gpu.stream_bytes_per_ns
+
+        def cost(nbytes: int):
+            return ctx.compute(int(nbytes / rate) + 1)
+
         for it in range(iters):
-            parity = it & 1
-            if it > 0:
-                # Wait for all neighbours' iteration-`it` halos.
-                for d in sorted(t.neighbors):
-                    yield from ctx.poll_flag(t.rx_flag[d], at_least=it)
-                yield ctx.fence_acquire_system(*t.ghost.values())
-                t.unpack_ghosts(Agent.GPU, ctx.sim.now)
-                yield ctx.compute(int(t.pack_bytes() / rate) + 1)
-            t.stencil_update(Agent.GPU)
-            t.pack_edges(parity, Agent.GPU, ctx.sim.now)
-            yield ctx.compute(int((t.stencil_bytes() + t.pack_bytes()) / rate) + 1)
-            yield ctx.barrier()
-            yield ctx.fence_release_system(
-                *(t.send[(d, parity)] for d in t.neighbors))
-            for d in sorted(t.neighbors):
-                yield ctx.store_trigger(tag_of[(d, it)])
+            yield from _gputn_iteration(ctx, tile, it, cost, overlap=False)
 
-    def rearm():
-        """CPU-side registration loop, concurrent with the kernel."""
-        live = []
-        for it in range(iters):
-            parity = it & 1
-            for d in dirs:
-                peer_rank = tile.neighbors[d]
-                peer_tile: _JacobiTile = peers[peer_rank].host._jacobi_tile  # type: ignore[attr-defined]
-                entry = yield from host.register_triggered_put(
-                    tag=tag_of[(d, it)], threshold=1,
-                    buf=tile.send[(d, parity)], nbytes=tile.send[(d, parity)].nbytes,
-                    target=peers[peer_rank].name,
-                    remote_addr=peer_tile.ghost[_OPP[d]].addr(),
-                    wire_tag=_wire_tag(tile.rank, d))
-                live.append(entry)
-            # Keep the active-entry count bounded (prototype limit 16):
-            # free entries two iterations back, which must have fired.
-            while len(live) > 2 * len(dirs):
-                done = live.pop(0)
-                yield node.nic.handle_for(done).local
-                node.nic.trigger_list.free(done)
-        for entry in live:
-            yield node.nic.handle_for(entry).local
-            node.nic.trigger_list.free(entry)
-
-    rearm_proc = node.sim.spawn(rearm(), name=f"{node.name}.rearm")
-    desc = KernelDescriptor(fn=kernel, n_workgroups=1,
-                            args={"tile": tile, "persistent": True},
-                            name="jacobi-gputn-persistent")
-    inst = yield from host.launch_kernel(desc)
-    yield AllOf(node.sim, [inst.finished, rearm_proc])
-    return node.sim.now
-
-
-def _gputn_overlap_node(node: Node, tile: _JacobiTile, peers: Dict[int, Node],
-                        iters: int):
-    """Extension: overlapped GPU-TN Jacobi.
-
-    The paper notes its Jacobi "does not exploit overlap".  This variant
-    does: each kernel updates the *boundary* cells first, publishes and
-    triggers the halo puts, then computes the interior while the
-    exchange is in flight -- the in-kernel trigger makes the overlap a
-    two-line change instead of a kernel split.
-    """
-    host = node.host
-    for d, peer_rank in tile.neighbors.items():
-        node.nic.expose_rx_flag(_wire_tag(peer_rank, _OPP[d]), (tile.rx_flag[d], 0))
-
-    dirs = sorted(tile.neighbors)
-    tag_of = {(d, it): 0x2000 + tile.rank * 4096 + it * len(_DIRS) + _DIRS.index(d)
-              for d in dirs for it in range(iters)}
-
-    def kernel_for(it: int):
+    def iteration_kernel(it: int):
         def kernel(ctx):
-            t: _JacobiTile = ctx.arg("tile")
-            parity = it & 1
-            boundary_bytes = 2 * 4 * t.n * _F4.itemsize  # 4 edges, rd+wr
-            interior_bytes = max(t.stencil_bytes() - boundary_bytes, 0)
-            if it > 0 and ctx.wg_id == 0:
-                for d in sorted(t.neighbors):
-                    yield from ctx.poll_flag(t.rx_flag[d], at_least=it)
-                yield ctx.fence_acquire_system(*t.ghost.values())
-                t.unpack_ghosts(Agent.GPU, ctx.sim.now)
-                yield ctx.compute_bytes(t.pack_bytes() // ctx.n_workgroups)
-            if ctx.wg_id == 0:
-                # Numerics once up front (timing is charged in phases).
-                t.stencil_update(Agent.GPU)
-                t.pack_edges(parity, Agent.GPU, ctx.sim.now)
-            # Phase 1: boundary cells + pack -- just enough to send.
-            yield ctx.compute_bytes(
-                (boundary_bytes + t.pack_bytes()) // ctx.n_workgroups)
-            yield ctx.barrier()
-            yield ctx.fence_release_system(
-                *(t.send[(d, parity)] for d in t.neighbors))
-            if ctx.wg_id == 0:
-                for d in sorted(t.neighbors):
-                    yield ctx.store_trigger(tag_of[(d, it)])
-            # Phase 2: interior compute overlaps the wire.
-            yield ctx.compute_bytes(interior_bytes // ctx.n_workgroups)
-        kernel.__name__ = f"jacobi-gputn-overlap-{it}"
+            yield from _gputn_iteration(
+                ctx, tile, it, lambda b: ctx.compute_bytes(b // ctx.n_workgroups),
+                overlap=shape == "overlap")
         return kernel
 
-    def rearm():
-        live = []
-        for it in range(iters):
-            parity = it & 1
-            for d in dirs:
-                peer_rank = tile.neighbors[d]
-                peer_tile: _JacobiTile = peers[peer_rank].host._jacobi_tile  # type: ignore[attr-defined]
-                entry = yield from host.register_triggered_put(
-                    tag=tag_of[(d, it)], threshold=1,
-                    buf=tile.send[(d, parity)], nbytes=tile.send[(d, parity)].nbytes,
-                    target=peers[peer_rank].name,
-                    remote_addr=peer_tile.ghost[_OPP[d]].addr(),
-                    wire_tag=_wire_tag(tile.rank, d))
-                live.append(entry)
-            while len(live) > 2 * len(dirs):
-                done = live.pop(0)
-                yield node.nic.handle_for(done).local
-                node.nic.trigger_list.free(done)
-        for entry in live:
-            yield node.nic.handle_for(entry).local
-            node.nic.trigger_list.free(entry)
-
-    rearm_proc = node.sim.spawn(rearm(), name=f"{node.name}.rearm")
-    insts = []
-    for it in range(iters):
-        desc = KernelDescriptor(fn=kernel_for(it),
-                                n_workgroups=_grid_workgroups(node),
-                                args={"tile": tile},
-                                name=f"jacobi-gputn-overlap-{it}")
+    if shape == "persistent":
+        descs = [KernelDescriptor(fn=persistent_kernel, n_workgroups=1,
+                                  args={"persistent": True},
+                                  name="jacobi-gputn-persistent")]
+    else:
+        prefix = "jacobi-gputn-overlap" if shape == "overlap" else "jacobi-gputn"
+        descs = (KernelDescriptor(fn=iteration_kernel(it),
+                                  n_workgroups=_grid_workgroups(node),
+                                  name=f"{prefix}-{it}")
+                 for it in range(iters))
+    for desc in descs:
         inst = yield from host.launch_kernel(desc)
-        insts.append(inst)
-    yield AllOf(node.sim, [insts[-1].finished, rearm_proc])
+    yield AllOf(node.sim, [inst.finished, rearm])
     return node.sim.now
 
 
@@ -580,9 +444,9 @@ _NODE_DRIVERS = {
     "cpu": _cpu_node,
     "hdn": _hdn_node,
     "gds": _gds_node,
-    "gputn": _gputn_node,
-    "gputn-persistent": _gputn_persistent_node,
-    "gputn-overlap": _gputn_overlap_node,
+    "gputn": partial(_gputn_node, shape="per-iteration"),
+    "gputn-persistent": partial(_gputn_node, shape="persistent"),
+    "gputn-overlap": partial(_gputn_node, shape="overlap"),
 }
 
 
@@ -638,12 +502,8 @@ class JacobiExperiment(Experiment):
         tiles = [_JacobiTile(cluster[r], n, r, px, py, seed)
                  for r in range(n_nodes)]
         initial_ghost_fill(tiles)
-        peers = {r: cluster[r] for r in range(n_nodes)}
-        for r in range(n_nodes):
-            cluster[r].host._jacobi_tile = tiles[r]  # type: ignore[attr-defined]
-
         driver = _NODE_DRIVERS[strategy]
-        procs = [cluster.spawn(driver(cluster[r], tiles[r], peers, iters),
+        procs = [cluster.spawn(driver(tiles[r], tiles, iters),
                                name=f"jacobi.{strategy}.{r}")
                  for r in range(n_nodes)]
         return {"procs": procs, "tiles": tiles}

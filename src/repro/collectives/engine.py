@@ -263,7 +263,7 @@ def _check_pairing(states: List["_ZooRank"]) -> None:
 # Executors
 # --------------------------------------------------------------------------
 
-def _cpu_zoo(state: _ZooRank, peers: Dict[int, Node]):
+def _cpu_zoo(state: _ZooRank, states: List[_ZooRank]):
     node, host = state.node, state.node.host
     for rnd, (send, recv, is_reduce) in enumerate(state.rounds):
         if is_reduce:
@@ -274,7 +274,7 @@ def _cpu_zoo(state: _ZooRank, peers: Dict[int, Node]):
                                     state.op_bytes(recv),
                                     offset=recv.chunk * state.chunk_bytes)
         yield from host.send(state.vector, state.op_bytes(send),
-                             peers[send.peer].name,
+                             states[send.peer].node.name,
                              _wire_tag(state.rank, rnd),
                              offset=send.chunk * state.chunk_bytes)
         yield from host.wait_recv(handle)
@@ -298,7 +298,7 @@ def _zoo_reduce_kernel(state: _ZooRank, rnd: int, name: str):
     return kernel
 
 
-def _hdn_zoo(state: _ZooRank, peers: Dict[int, Node]):
+def _hdn_zoo(state: _ZooRank, states: List[_ZooRank]):
     node, host = state.node, state.node.host
     n_wg = node.config.gpu.compute_units
     for rnd, (send, recv, is_reduce) in enumerate(state.rounds):
@@ -310,7 +310,7 @@ def _hdn_zoo(state: _ZooRank, peers: Dict[int, Node]):
                                     state.op_bytes(recv),
                                     offset=recv.chunk * state.chunk_bytes)
         yield from host.send(state.vector, state.op_bytes(send),
-                             peers[send.peer].name,
+                             states[send.peer].node.name,
                              _wire_tag(state.rank, rnd),
                              offset=send.chunk * state.chunk_bytes)
         yield from host.wait_recv(handle)
@@ -330,7 +330,7 @@ def _expose_round_flags(state: _ZooRank) -> None:
                                       (state.flags, 4 * rnd))
 
 
-def _gds_zoo(state: _ZooRank, peers: Dict[int, Node]):
+def _gds_zoo(state: _ZooRank, states: List[_ZooRank]):
     node, host = state.node, state.node.host
     n_wg = node.config.gpu.compute_units
     _expose_round_flags(state)
@@ -338,10 +338,9 @@ def _gds_zoo(state: _ZooRank, peers: Dict[int, Node]):
 
     def stage_send(rnd: int):
         send, _, _ = state.rounds[rnd]
-        peer_state: _ZooRank = peers[send.peer].host._zoo_state  # type: ignore[attr-defined]
+        peer = states[send.peer]
         h = yield from host.put(state.vector, state.op_bytes(send),
-                                peers[send.peer].name,
-                                peer_state.landing_addr(rnd),
+                                peer.node.name, peer.landing_addr(rnd),
                                 wire_tag=_wire_tag(state.rank, rnd),
                                 offset=send.chunk * state.chunk_bytes,
                                 deferred=True)
@@ -376,7 +375,7 @@ def _gds_zoo(state: _ZooRank, peers: Dict[int, Node]):
     return node.sim.now
 
 
-def _gputn_zoo(state: _ZooRank, peers: Dict[int, Node]):
+def _gputn_zoo(state: _ZooRank, states: List[_ZooRank]):
     """The whole collective in one persistent kernel (paper §5.4.1): per
     slice, poll the round flag, reduce, and fire the next round's
     pre-armed slice puts this slice completes (module docstring)."""
@@ -407,30 +406,22 @@ def _gputn_zoo(state: _ZooRank, peers: Dict[int, Node]):
                 for t in fire:
                     yield ctx.store_trigger(_trig_tag(state.rank, rnd + 1, t))
 
-    def rearm():
-        live: List = []
+    def batches():
+        """One slice put per batch; a round's landing address is taken
+        (and its staging allocated) just before its first slice."""
         for rnd, (send, _, _) in enumerate(state.rounds):
-            peer_state: _ZooRank = peers[send.peer].host._zoo_state  # type: ignore[attr-defined]
-            base = peer_state.landing_addr(rnd)
+            peer = states[send.peer]
+            base = peer.landing_addr(rnd)
             for t, (lo, hi) in enumerate(state.slices(send)):
-                entry = yield from host.register_triggered_put(
-                    tag=_trig_tag(state.rank, rnd, t), threshold=1,
-                    buf=state.vector, nbytes=4 * (hi - lo),
-                    target=peers[send.peer].name,
-                    remote_addr=base + 4 * lo,
-                    wire_tag=_wire_tag(state.rank, rnd),
-                    offset=send.chunk * state.chunk_bytes + 4 * lo)
-                live.append(entry)
-                # Respect the prototype's 16-entry trigger-list bound.
-                while len(live) > 12:
-                    done = live.pop(0)
-                    yield node.nic.handle_for(done).local
-                    node.nic.trigger_list.free(done)
-        for entry in live:
-            yield node.nic.handle_for(entry).local
-            node.nic.trigger_list.free(entry)
+                yield [dict(tag=_trig_tag(state.rank, rnd, t), threshold=1,
+                            buf=state.vector, nbytes=4 * (hi - lo),
+                            target=peer.node.name, remote_addr=base + 4 * lo,
+                            wire_tag=_wire_tag(state.rank, rnd),
+                            offset=send.chunk * state.chunk_bytes + 4 * lo)]
 
-    rearm_proc = node.sim.spawn(rearm(), name=f"{node.name}.zoo-rearm")
+    # Respect the prototype's 16-entry trigger-list bound.
+    rearm_proc = node.sim.spawn(host.rearm_triggered_puts(batches(), 12),
+                                name=f"{node.name}.zoo-rearm")
     desc = KernelDescriptor(fn=kernel, n_workgroups=1,
                             args={"persistent": True},
                             name="zoo-gputn-persistent")
@@ -684,11 +675,8 @@ class CollectiveExperiment(Experiment):
         _check_pairing(states)
         expected, semantic_ok = _expected_results(
             schedules, [s.vector.view(_F4) for s in states])
-        peers = {r: cluster[r] for r in range(n_nodes)}
-        for r in range(n_nodes):
-            cluster[r].host._zoo_state = states[r]  # type: ignore[attr-defined]
         executor = _ZOO_EXECUTORS[params["strategy"]]
-        procs = [cluster.spawn(executor(states[r], peers),
+        procs = [cluster.spawn(executor(states[r], states),
                                name=f"zoo.{schedule}.{params['strategy']}.{r}")
                  for r in range(n_nodes)]
         return {"procs": procs, "states": states, "schedules": schedules,

@@ -13,7 +13,8 @@ made quantitative).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from repro.gpu.device import Gpu, KernelInstance
 from repro.gpu.kernel import KernelDescriptor
 from repro.memory import Agent, Buffer, MemoryTiming
 from repro.nic.device import Nic, PutHandle, RecvHandle
+from repro.nic.triggered import TriggerEntry
 from repro.sim import Event, Simulator, SpinWatch, Tracer, WatchedEvent
 
 __all__ = ["Host"]
@@ -187,6 +189,34 @@ class Host:
             nbytes=nbytes, target=target, remote_addr=remote_addr,
             wire_tag=wire_tag, local_flag=local_flag,
         )
+
+    def rearm_triggered_puts(self, batches: Iterable[Iterable[Dict[str, Any]]],
+                             window: int):
+        """The GPU-TN host's steady-state job (relaxed synchronization,
+        §3.2), run as its own process concurrently with the kernel that
+        fires the entries: register each batch of triggered puts, then
+        free entries oldest first -- each once its put has completed
+        locally -- until at most ``window`` stay live; at the end, drain
+        the rest the same way.
+
+        ``batches`` yields iterables of :meth:`register_triggered_put`
+        keyword arguments.  It is consumed lazily: the next batch is built
+        only once the previous one is registered and the window is back
+        within bounds.
+        """
+        live: Deque[TriggerEntry] = deque()
+        for batch in batches:
+            for put in batch:
+                entry = yield from self.register_triggered_put(**put)
+                live.append(entry)
+            while len(live) > window:
+                done = live.popleft()
+                yield self.nic.handle_for(done).local
+                self.nic.trigger_list.free(done)
+        while live:
+            done = live.popleft()
+            yield self.nic.handle_for(done).local
+            self.nic.trigger_list.free(done)
 
     # ------------------------------------------------------------- compute
     def compute_bytes(self, nbytes: int, flops_per_byte: float = 1.0,

@@ -16,20 +16,24 @@ the target.  The flows differ exactly as Figure 3 draws them:
 
 Initiator generators return a :class:`FlowResult`; target generators
 return the simulation time at which the payload was observed.
+:func:`message_stream` runs one strategy's flows back to back, the probe
+stream the congestion and degraded studies time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from repro.cluster import Node
+from repro.cluster import Cluster, Node
 from repro.gpu.kernel import KernelContext, KernelDescriptor
 from repro.memory import Buffer
+from repro.nic.transport import TransportError
+from repro.sim import AnyOf
 
-__all__ = ["FLOWS", "FlowResult", "get_flow"]
+__all__ = ["FLOWS", "FlowResult", "get_flow", "message_stream"]
 
 
 @dataclass
@@ -221,3 +225,77 @@ def get_flow(strategy: str):
         raise KeyError(
             f"unknown flow {strategy!r}; evaluated strategies: {sorted(FLOWS)}"
         ) from None
+
+
+def message_stream(cluster: Cluster, target: Node, strategy: str, nbytes: int,
+                   messages: int, outcome: Dict[str, Any], *, prefix: str,
+                   pattern: int, wire_tag_base: int, trig_tag_base: int):
+    """``messages`` back-to-back one-way transfers from node 0 to
+    ``target``, each one flow of ``strategy`` timed from initiation to the
+    target observing the payload.
+
+    Fills ``outcome`` (``latencies``, ``delivered``, ``gave_up``,
+    ``span_ns``) and returns the delivered count.  Message ``i`` uses
+    wire tag ``wire_tag_base + i`` and, for GPU-TN, trigger tag
+    ``trig_tag_base + i``; ``prefix`` names the buffers, processes and
+    give-up event.  A flow whose reliable transport gives up ends the
+    stream with ``gave_up`` set instead of parking it forever.
+    """
+    initiator = cluster[0]
+    init_fn, target_fn = get_flow(strategy)
+    one_sided = strategy in ("gds", "gputn", "gpu-host", "gpu-native")
+    send_buf = initiator.host.alloc(nbytes, name=f"{prefix}-send")
+    recv_buf = target.host.alloc(nbytes, name=f"{prefix}-recv")
+    remote_addr = recv_buf.addr() if one_sided else None
+    # The initiators only wait on *local* completion, which succeeds long
+    # before a retry budget can die: watch the transport's give-up probe
+    # so a dead flow ends the stream instead of parking it on a starved
+    # receiver.
+    give_up_ev = cluster.sim.event(f"{prefix}-give-up")
+    initiator.nic.transport.probes.append(
+        lambda kind, peer, seq, now: kind == "give-up"
+        and not give_up_ev.triggered and give_up_ev.succeed(now))
+    start = cluster.sim.now
+    for i in range(messages):
+        wire_tag = wire_tag_base + i
+        kwargs: Dict[str, Any] = {}
+        if strategy == "gputn":
+            kwargs["tag"] = trig_tag_base + i
+        t0 = cluster.sim.now
+        tproc = cluster.spawn(
+            target_fn(target, recv_buf, nbytes, wire_tag),
+            name=f"{prefix}-target-{i}")
+        iproc = cluster.spawn(
+            init_fn(initiator, target.name, send_buf, nbytes, remote_addr,
+                    wire_tag, pattern=pattern, **kwargs),
+            name=f"{prefix}-init-{i}")
+        gave_up = False
+        try:
+            yield iproc
+            done = yield AnyOf(cluster.sim, [tproc, give_up_ev])
+            gave_up = tproc not in done
+            observed_at = done.get(tproc)
+        except TransportError:
+            gave_up = True
+        if gave_up:
+            # Reap whichever side is still parked.
+            outcome["gave_up"] = True
+            for proc in (tproc, iproc):
+                if not proc.processed:
+                    proc.kill()
+            break
+        if strategy == "gputn":
+            # Reap the fired trigger entry: the associative lookup holds
+            # only 16 slots and a stream outlives that.
+            entry = initiator.nic.trigger_list.entry(kwargs["tag"])
+            if entry is not None:
+                initiator.nic.trigger_list.free(entry)
+        latency = int(observed_at) - t0
+        outcome["latencies"].append(latency)
+        if cluster.metrics is not None:
+            # App-level view of the same messages the NIC histogram
+            # times; `repro stats` cross-checks the two.
+            cluster.metrics.histogram("app.message_latency_ns").record(latency)
+        outcome["delivered"] += 1
+    outcome["span_ns"] = cluster.sim.now - start
+    return outcome["delivered"]

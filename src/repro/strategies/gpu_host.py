@@ -28,12 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-import numpy as np
-
 from repro.cluster import Node
 from repro.gpu.kernel import KernelContext, KernelDescriptor
-from repro.memory import Agent, Buffer
+from repro.memory import Buffer
 from repro.sim import SpinWatch, Store
+from repro.strategies.flows import FlowResult, _copy_kernel
 
 __all__ = ["GpuHostService", "gpu_host_initiator"]
 
@@ -119,17 +118,9 @@ class GpuHostService:
 
 def _bounce_kernel(ctx: KernelContext):
     """The GPU side: fill the bounce buffer, publish, enqueue a request."""
-    buf: Buffer = ctx.arg("buffer")
     service: GpuHostService = ctx.arg("service")
     request: _Request = ctx.arg("request")
-    payload = np.full(buf.nbytes, ctx.arg("pattern"), dtype=np.uint8)
-    ctx.write(buf, payload)
-    gpu_cfg = ctx.config.gpu
-    # Whole-device streaming rate (see flows._copy_kernel).
-    yield ctx.compute(max(gpu_cfg.global_load_ns,
-                          int(2 * buf.nbytes / gpu_cfg.stream_bytes_per_ns)))
-    yield ctx.barrier()
-    yield ctx.fence_release_system(buf)
+    yield from _copy_kernel(ctx)
     # The request descriptor write is a system-scope store, like the
     # GPU-TN trigger, but it lands in a memory queue the CPU must poll.
     yield ctx.compute(ctx.config.gpu.atomic_system_store_ns)
@@ -147,8 +138,6 @@ def gpu_host_initiator(node: Node, target: str, send_buf: Buffer, nbytes: int,
     polling keeps consuming CPU for the rest of the simulation, exactly
     like a real dedicated helper thread).
     """
-    from repro.strategies.flows import FlowResult
-
     result = FlowResult("gpu-host")
     service = service or GpuHostService(node)
     request = _Request(buf=send_buf, nbytes=nbytes, target=target,

@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from repro.cluster import Node
 from repro.gpu.kernel import KernelContext, KernelDescriptor
 from repro.memory import Buffer
+from repro.strategies.flows import FlowResult, _copy_kernel
 
 __all__ = ["GPU_SERIAL_SLOWDOWN", "gpu_native_initiator"]
 
@@ -43,14 +42,7 @@ def _native_kernel(ctx: KernelContext):
     wire_tag: int = ctx.arg("wire_tag")
     out = ctx.desc.args.setdefault("out", {})
 
-    payload = np.full(buf.nbytes, ctx.arg("pattern"), dtype=np.uint8)
-    ctx.write(buf, payload)
-    gpu_cfg = ctx.config.gpu
-    # Whole-device streaming rate (see flows._copy_kernel).
-    yield ctx.compute(max(gpu_cfg.global_load_ns,
-                          int(2 * buf.nbytes / gpu_cfg.stream_bytes_per_ns)))
-    yield ctx.barrier()
-    yield ctx.fence_release_system(buf)
+    yield from _copy_kernel(ctx)
     # Serial, divergent packet construction by a single work-item.
     yield ctx.compute(ctx.config.cpu.packet_build_ns * GPU_SERIAL_SLOWDOWN)
     # Ring the NIC directly (same MMIO cost as the GPU-TN trigger).
@@ -64,8 +56,6 @@ def gpu_native_initiator(node: Node, target: str, send_buf: Buffer, nbytes: int,
                          remote_addr: Optional[int], wire_tag: int,
                          pattern: int = 0xA5):
     """Microbenchmark initiator for the GPU Native Networking class."""
-    from repro.strategies.flows import FlowResult
-
     if remote_addr is None:
         raise ValueError("gpu-native flow is one-sided; remote_addr required")
     result = FlowResult("gpu-native")

@@ -108,10 +108,11 @@ def fuzz_case(workload: str, seed: int) -> FuzzCase:
         px, py = (int(v) for v in rng.choice([(2, 1), (1, 2), (2, 2)]))
         inner = {
             "strategy": str(rng.choice(["cpu", "hdn", "gds", "gputn",
-                                        "gputn-overlap"])),
+                                        "gputn-overlap", "gputn-persistent"])),
             "n": int(rng.choice([8, 16, 24])),
             "px": px, "py": py,
-            "iters": int(rng.integers(1, 3)),
+            # iters >= 3 reaches the GPU-TN re-arm window's free path.
+            "iters": int(rng.integers(1, 5)),
             "seed": int(rng.integers(0, 1000)),
         }
     else:  # allreduce

@@ -55,7 +55,7 @@ class TestCliSmoke:
         assert proc.returncode == 0, proc.stderr
         assert "jobs submit congestion" in proc.stdout
         for flag in ("--loads", "--disciplines", "--transports",
-                     "--strategies", "--jobs", "--cache-dir"):
+                     "--strategies", "--jobs", "--cache-dir", "--store"):
             assert flag in proc.stdout, flag
         assert not (tmp_path / ".repro-jobs").exists()
 

@@ -111,10 +111,7 @@ class TestGraphTopologyCluster:
             states = [_ZooRank(cluster[r], schedules[r], 64 * 1024, seed=2)
                       for r in range(4)]
             initial = [s.vector.view(np.float32).copy() for s in states]
-            peers = {r: cluster[r] for r in range(4)}
-            for r in range(4):
-                cluster[r].host._zoo_state = states[r]
-            procs = [cluster.spawn(executor(states[r], peers))
+            procs = [cluster.spawn(executor(states[r], states))
                      for r in range(4)]
             cluster.run()
             assert all(p.ok for p in procs), strategy
