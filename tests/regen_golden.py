@@ -9,8 +9,12 @@ The fixtures pin the paper's headline exhibits as canonical records --
 Figure 8's latency decomposition (GPU-TN ~2.71 us vs GDS ~3.76 us vs HDN
 ~4.21 us target completion), Figure 9's 2x2 GPU-TN Jacobi point plus
 every Jacobi strategy on a 3x3 grid, and Figure 10's
-8-node / 8 MiB Allreduce -- so any code change that shifts a simulated
-metric fails ``tests/test_golden_records.py`` with a field-level diff.
+8-node / 8 MiB Allreduce -- plus the routed fabric under load: two
+congestion points (switch queues, RED/ECN draws, drops and retransmits
+on a 16-node fat tree) and two collective-zoo points on a dragonfly
+(with its own global-link latency) and a torus -- so any code change
+that shifts a simulated metric fails ``tests/test_golden_records.py``
+with a field-level diff.
 Only regenerate after verifying the new numbers are *intended* (e.g. a
 deliberate timing-model change), and say why in the commit message.
 
@@ -41,6 +45,21 @@ GOLDEN_POINTS = {
     "allreduce-gputn": ("allreduce", {"strategy": "gputn", "n_nodes": 8}),
     "allreduce-cpu": ("allreduce", {"strategy": "cpu", "n_nodes": 8}),
     "allreduce-hdn": ("allreduce", {"strategy": "hdn", "n_nodes": 8}),
+    # The loaded reliable path: background Poisson load at 0.8 of link
+    # rate through finite switch queues, selective repeat with pacing.
+    **{f"congestion-{s}-{d}": ("congestion", {
+        "strategy": s, "discipline": d, "transport": "selective-repeat",
+        "load": 0.8, "topology": "fat-tree:k=4", "n_nodes": 16,
+        "messages": 16, "bg_horizon_ns": 60_000})
+       for s, d in (("gputn", "red-ecn"), ("hdn", "drop-tail"))},
+    # Routed fabrics without queues: per-hop port contention, and on the
+    # dragonfly a global-link latency unlike the local one.
+    "zoo-dragonfly-gputn": ("collective-zoo", {
+        "schedule": "halving-doubling", "strategy": "gputn", "n_nodes": 8,
+        "topology": "dragonfly:a=2,g=3,p=2,global_latency_ns=300"}),
+    "zoo-torus-gds": ("collective-zoo", {
+        "schedule": "alltoall", "strategy": "gds", "n_nodes": 8,
+        "topology": "torus:2x4"}),
 }
 
 
@@ -51,6 +70,12 @@ def _experiment(kind: str):
     if kind == "jacobi":
         from repro.apps.jacobi import JacobiExperiment
         return JacobiExperiment()
+    if kind == "congestion":
+        from repro.apps.congestion import CongestionExperiment
+        return CongestionExperiment()
+    if kind == "collective-zoo":
+        from repro.collectives import CollectiveExperiment
+        return CollectiveExperiment()
     from repro.collectives import AllreduceExperiment
     return AllreduceExperiment()
 

@@ -132,7 +132,22 @@ def test_mutable_values_are_never_memoised():
 
 
 def test_golden_fixture_fingerprints_are_unchanged():
-    fingerprints = {json.loads(p.read_text())["config_fingerprint"]
-                    for p in sorted(GOLDEN_DIR.glob("*.json"))}
+    docs = {p.stem: json.loads(p.read_text())
+            for p in sorted(GOLDEN_DIR.glob("*.json"))}
+    # A point that names its topology runs on the default config with
+    # that topology swapped into the network section (its configure()).
+    fingerprints = {doc["config_fingerprint"] for doc in docs.values()
+                    if "topology" not in doc["params"]}
     assert fingerprints == {"8dfb8f1d172fc7b9"}
     assert fingerprints == {config_fingerprint(default_config())}
+    routed = {name: doc["config_fingerprint"] for name, doc in docs.items()
+              if "topology" in doc["params"]}
+    assert routed == {"congestion-gputn-red-ecn": "1abc72fbd9364ff8",
+                      "congestion-hdn-drop-tail": "1abc72fbd9364ff8",
+                      "zoo-dragonfly-gputn": "d1dedd12053ceed4",
+                      "zoo-torus-gds": "484da434f4ef100d"}
+    base = default_config()
+    for name, fp in routed.items():
+        network = dataclasses.replace(
+            base.network, topology=docs[name]["params"]["topology"])
+        assert fp == config_fingerprint(base.with_(network=network)), name

@@ -4,7 +4,9 @@ Each fixture under ``tests/golden/`` is a canonical
 :class:`~repro.runtime.record.RunRecord` (spans stripped) pinning one
 simulated data point: Figure 8's microbenchmark latency decomposition,
 Figure 9's 2x2 GPU-TN Jacobi point plus every Jacobi strategy on a 3x3
-grid, and Figure 10's 8-node / 8 MiB ring Allreduce.
+grid, Figure 10's 8-node / 8 MiB ring Allreduce, and the routed fabric:
+congestion points under load and collective-zoo points on a dragonfly
+and a torus.
 A drift in any metric, parameter default or config fingerprint fails
 here with a field-level diff.
 
