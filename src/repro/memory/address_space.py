@@ -148,13 +148,23 @@ class AddressSpace:
     def dma_read(self, addr: int, nbytes: int) -> bytes:
         """NIC-side read; enforces registration."""
         buf, off = self.resolve(addr, nbytes)
-        if not buf.registered:
-            raise RegistrationError(f"DMA read from unregistered buffer {buf.name!r}")
-        return buf.read_bytes(off, nbytes)
+        return self.dma_read_at(buf, off, nbytes)
 
     def dma_write(self, addr: int, payload: bytes) -> None:
         """NIC-side write; enforces registration."""
         buf, off = self.resolve(addr, len(payload))
+        self.dma_write_at(buf, off, payload)
+
+    @staticmethod
+    def dma_read_at(buf: Buffer, off: int, nbytes: int) -> bytes:
+        """:meth:`dma_read` of a range already resolved to ``(buf, off)``."""
+        if not buf.registered:
+            raise RegistrationError(f"DMA read from unregistered buffer {buf.name!r}")
+        return buf.read_bytes(off, nbytes)
+
+    @staticmethod
+    def dma_write_at(buf: Buffer, off: int, payload: bytes) -> None:
+        """:meth:`dma_write` to a range already resolved to ``(buf, off)``."""
         if not buf.registered:
             raise RegistrationError(f"DMA write to unregistered buffer {buf.name!r}")
         buf.write_bytes(off, payload)

@@ -73,6 +73,12 @@ class SwitchFabricTopology(Topology):
     def route(self, src: str, dst: str) -> Optional[List[str]]:
         if src == dst:
             return None
+        return self._path(src, dst)
+
+    def _path(self, src: str, dst: str) -> List[str]:
+        """The cached route of a distinct pair.  Latency and hop count
+        read it here, so ``route`` runs only for its own callers (the
+        fabric asks once per pair when it plans the pair)."""
         key = (src, dst)
         path = self._routes.get(key)
         if path is None:
@@ -93,7 +99,7 @@ class SwitchFabricTopology(Topology):
         if src == dst:
             self.index(src)
             return 0
-        path = self.route(src, dst)
+        path = self._path(src, dst)
         total = (len(path) - 2) * self.switch_latency_ns
         for a, b in zip(path, path[1:]):
             total += self.segment_latency_ns(a, b)
@@ -104,7 +110,7 @@ class SwitchFabricTopology(Topology):
         if src == dst:
             self.index(src)
             return 0
-        return len(self.route(src, dst)) - 2
+        return len(self._path(src, dst)) - 2
 
 
 class FatTreeTopology(SwitchFabricTopology):

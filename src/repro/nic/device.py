@@ -519,7 +519,9 @@ class Nic:
         if op.nbytes:
             self.mem.record_read(self.sim.now, Agent.NIC, buf,
                                  lo=off, hi=off + op.nbytes)
-        payload = self.space.dma_read(op.local_addr, op.nbytes) if op.nbytes else b""
+            payload = self.space.dma_read_at(buf, off, op.nbytes)
+        else:
+            payload = b""
         if self.probes:
             self._emit("send-dma-read", handle)
         kind = MessageKind.SEND if op.kind == "send" else MessageKind.PUT
@@ -604,8 +606,8 @@ class Nic:
         if msg.remote_addr is None:
             raise ValueError(f"put without remote address: {msg!r}")
         if msg.nbytes:
-            self.space.dma_write(msg.remote_addr, msg.payload or b"\x00" * msg.nbytes)
-            buf, _ = self.space.resolve(msg.remote_addr, msg.nbytes)
+            buf, off = self.space.resolve(msg.remote_addr, msg.nbytes)
+            self.space.dma_write_at(buf, off, msg.payload or b"\x00" * msg.nbytes)
             self.mem.record_write(self.sim.now, Agent.NIC, buf)
         self._notify_rx(msg.tag, delivered)
 

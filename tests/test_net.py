@@ -1,9 +1,12 @@
 """Unit tests for the network fabric (repro.net)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.config import NetworkConfig
-from repro.net import Fabric, Message, StarTopology
+from repro.net import (Fabric, FaultDecision, Message, StarTopology,
+                       make_topology)
 from repro.net.packet import MessageKind
 from repro.net.topology import GraphTopology
 from repro.sim import Simulator
@@ -199,3 +202,104 @@ class TestBandwidthInvariant:
         sim.run()
         for s, src, dst, ev in events:
             assert ev.value.delivered_at >= fabric.uncontended_latency_ns(src, dst, s)
+
+
+class _DropAll:
+    """A fault interposer that loses every message."""
+
+    def on_transmit(self, msg, now):
+        return FaultDecision(drop=True)
+
+    def adjust_delivery(self, node, t):  # pragma: no cover - never reached
+        return t
+
+
+def _counting_routes(topo):
+    """Count ``topo.route`` calls per pair (an instance-level wrapper)."""
+    calls = Counter()
+    route = topo.route
+
+    def counted(src, dst):
+        calls[(src, dst)] += 1
+        return route(src, dst)
+
+    topo.route = counted
+    return calls
+
+
+class TestPairPlans:
+    """The fabric plans each (src, dst) pair once, from its route."""
+
+    def _fat_tree(self):
+        net = NetworkConfig()
+        topo = make_topology("fat-tree:k=4", 16, net.link_latency_ns,
+                             net.switch_latency_ns)
+        sim = Simulator()
+        return sim, Fabric(sim, topo, net), topo
+
+    def test_route_runs_once_per_pair(self):
+        sim, fabric, topo = self._fat_tree()
+        calls = _counting_routes(topo)
+        pairs = [("node0", "node15"), ("node15", "node0"), ("node1", "node2")]
+        for _ in range(5):
+            for src, dst in pairs:
+                fabric.transmit(Message(src=src, dst=dst, nbytes=512))
+                topo.path_latency_ns(src, dst)
+        sim.run()
+        assert calls == Counter({pair: 1 for pair in pairs})
+        assert fabric.stats["messages"] == 15
+
+    def test_plans_crossing_a_port_share_it(self):
+        sim, fabric, _ = self._fat_tree()
+        # node0 and node1 sit on edge switch ftE0.0; both cross pod 0's
+        # uplinks toward pod 3, and node15's edge port is common to both.
+        fabric.transmit(Message(src="node0", dst="node15", nbytes=64))
+        fabric.transmit(Message(src="node1", dst="node15", nbytes=64))
+        last0 = fabric._plans["node0"]["node15"][0][-1][1]
+        last1 = fabric._plans["node1"]["node15"][0][-1][1]
+        assert last0 is last1 and last0.key == ("ftE3.1", "node15")
+
+    @pytest.mark.parametrize("spec", ["star", "fat-tree:k=4"])
+    @pytest.mark.parametrize("src,dst", [("ghost", "node1"), ("node0", "ghost")])
+    def test_unknown_node_raises_naming_it(self, spec, src, dst):
+        net = NetworkConfig()
+        topo = make_topology(spec, 16, net.link_latency_ns,
+                             net.switch_latency_ns)
+        sim = Simulator()
+        fabric = Fabric(sim, topo, net)
+        with pytest.raises(KeyError, match="unknown node 'ghost'"):
+            fabric.transmit(Message(src=src, dst=dst, nbytes=8))
+        # Rejected before any port was reserved or counted.
+        assert fabric.stats == {"messages": 0, "bytes": 0}
+        assert all(p.busy_until == 0 for p in fabric._egress.values())
+
+    def test_dropped_message_builds_no_plan(self):
+        sim, fabric, topo = self._fat_tree()
+        calls = _counting_routes(topo)
+        fabric.install_interposer(_DropAll())
+        assert fabric.transmit(Message(src="node0", dst="node9", nbytes=64)) is not None
+        sim.run()
+        assert fabric._plans["node0"] == {} and not calls
+        assert fabric.stats["messages"] == 1
+
+    def test_graph_edge_latencies_fold_into_the_plan(self):
+        import networkx as nx
+
+        g = nx.Graph()
+        g.add_edge("a", "s1", latency_ns=10)
+        g.add_edge("s1", "s2", latency_ns=250)
+        g.add_edge("s2", "b", latency_ns=20)
+        g.add_edge("c", "s2", latency_ns=40)
+        topo = GraphTopology(g, ["a", "b", "c"], switch_latency_ns=5)
+        sim = Simulator()
+        fabric = Fabric(sim, topo, NetworkConfig())
+        ser = fabric.net.serialization_ns(1000)
+        per_hop = {("a", "b"): 10 + 250 + 20 + 2 * 5,
+                   ("b", "a"): 20 + 250 + 10 + 2 * 5,
+                   ("c", "a"): 40 + 250 + 10 + 2 * 5,
+                   ("b", "c"): 20 + 40 + 5}
+        for pair, latency in per_hop.items():  # one at a time: no contention
+            ev = fabric.transmit(Message(src=pair[0], dst=pair[1], nbytes=1000))
+            sim.run()
+            assert ev.value.delivered_at - ev.value.sent_at == ser + latency, pair
+            assert latency == topo.path_latency_ns(*pair)

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import KB, QueueConfig
-from repro.net.fabric import _Port
+from repro.net.fabric import Port
 from repro.net.queues import SwitchQueues
 from repro.sim.rng import RandomStreams
 
@@ -58,7 +58,7 @@ def test_property_work_conservation_and_fifo(plan):
     """Admitted arrivals on a backlogged port start back-to-back, and
     starts are monotone in admission order (no intra-flow reordering)."""
     q = drop_tail(capacity=1 << 30)  # never drop: isolate the timing law
-    port = _Port()
+    port = Port(KEY)
     now = 0
     last_start = -1
     last_end = 0
@@ -66,7 +66,7 @@ def test_property_work_conservation_and_fifo(plan):
         now += gap
         ser = nbytes  # 1 byte/ns: any positive serialization works
         backlog = port.busy_until > now
-        start, marked = q.admit(KEY, port, _Msg(nbytes), now, now, ser)
+        start, marked = q.admit(port, _Msg(nbytes), now, now, ser)
         assert start is not None and not marked
         if backlog:  # work conservation: no idle gap while queued
             assert start == last_end
@@ -101,10 +101,10 @@ def test_property_red_probability_monotone(occupancies, lo, span, max_prob):
 class TestDropTail:
     def test_overflow_drops_and_counts(self):
         q = drop_tail(capacity=1 * KB)
-        port = _Port()
-        start, _ = q.admit(KEY, port, _Msg(1024), 0, 0, 1024)
+        port = Port(KEY)
+        start, _ = q.admit(port, _Msg(1024), 0, 0, 1024)
         assert start == 0
-        dropped, _ = q.admit(KEY, port, _Msg(1), 0, 0, 1)
+        dropped, _ = q.admit(port, _Msg(1), 0, 0, 1)
         assert dropped is None
         assert q.stats["dropped"] == 1 and q.stats["enqueued"] == 1
         assert q.counters() == {"queue_enqueued": 1, "queue_dropped": 1,
@@ -112,16 +112,16 @@ class TestDropTail:
 
     def test_drained_bytes_free_capacity(self):
         q = drop_tail(capacity=1 * KB)
-        port = _Port()
-        q.admit(KEY, port, _Msg(1024), 0, 0, 100)  # drains at 100
-        start, _ = q.admit(KEY, port, _Msg(1024), 150, 150, 100)
+        port = Port(KEY)
+        q.admit(port, _Msg(1024), 0, 0, 100)  # drains at 100
+        start, _ = q.admit(port, _Msg(1024), 150, 150, 100)
         assert start == 150  # backlog pruned: the queue emptied at 100
         assert q.stats["dropped"] == 0
 
     def test_ports_are_independent(self):
         q = drop_tail(capacity=1 * KB)
-        q.admit(("a", "b"), _Port(), _Msg(1024), 0, 0, 10)
-        start, _ = q.admit(("b", "c"), _Port(), _Msg(1024), 0, 0, 10)
+        q.admit(Port(("a", "b")), _Msg(1024), 0, 0, 10)
+        start, _ = q.admit(Port(("b", "c")), _Msg(1024), 0, 0, 10)
         assert start == 0 and q.stats["dropped"] == 0
 
 
@@ -132,42 +132,42 @@ class TestRed:
 
     def test_below_min_never_draws(self):
         q = red(lo=2 * KB)
-        port = _Port()
+        port = Port(KEY)
         for i in range(4):  # 4 x 512 = exactly red_min: no draw yet
-            start, marked = q.admit(KEY, port, _Msg(512), 0, 0, 10 ** 6)
+            start, marked = q.admit(port, _Msg(512), 0, 0, 10 ** 6)
             assert start is not None and not marked
-        assert q._rngs == {}  # the zero-load byte-identity guarantee
+        assert port.rng is None  # the zero-load byte-identity guarantee
 
     def test_above_max_always_drops(self):
         q = red(lo=1 * KB, hi=2 * KB)
-        port = _Port()
-        q.admit(KEY, port, _Msg(2 * KB), 0, 0, 10 ** 6)
-        assert q.admit(KEY, port, _Msg(64), 0, 0, 64) == (None, False)
-        assert q._rngs == {}  # p==1 is deterministic: still no draw
+        port = Port(KEY)
+        q.admit(port, _Msg(2 * KB), 0, 0, 10 ** 6)
+        assert q.admit(port, _Msg(64), 0, 0, 64) == (None, False)
+        assert port.rng is None  # p==1 is deterministic: still no draw
 
     def test_ecn_marks_instead_of_dropping(self):
         q = red(ecn=True, lo=1 * KB, hi=2 * KB)
-        port = _Port()
-        q.admit(KEY, port, _Msg(2 * KB), 0, 0, 10 ** 6)
-        start, marked = q.admit(KEY, port, _Msg(64), 0, 0, 64)
+        port = Port(KEY)
+        q.admit(port, _Msg(2 * KB), 0, 0, 10 ** 6)
+        start, marked = q.admit(port, _Msg(64), 0, 0, 64)
         assert start is not None and marked
         assert q.stats == {"enqueued": 2, "dropped": 0, "ecn_marked": 1,
                            "max_depth_bytes": 2 * KB + 64}
 
     def test_ecn_capacity_brick_wall_still_drops(self):
         q = red(ecn=True, capacity=2 * KB, lo=0, hi=1 * KB)
-        port = _Port()
-        q.admit(KEY, port, _Msg(2 * KB), 0, 0, 10 ** 6)
-        assert q.admit(KEY, port, _Msg(1), 0, 0, 1) == (None, False)
+        port = Port(KEY)
+        q.admit(port, _Msg(2 * KB), 0, 0, 10 ** 6)
+        assert q.admit(port, _Msg(1), 0, 0, 1) == (None, False)
         assert q.stats["dropped"] == 1
 
     def test_ramp_draws_replay_deterministically(self):
         def verdicts(seed):
             q = red(lo=1 * KB, hi=8 * KB, seed=seed)
-            port = _Port()
+            port = Port(KEY)
             out = []
             for _ in range(30):
-                start, _ = q.admit(KEY, port, _Msg(512), 0, 0, 10 ** 9)
+                start, _ = q.admit(port, _Msg(512), 0, 0, 10 ** 9)
                 out.append(start is not None)
             return out
 
@@ -179,12 +179,12 @@ class TestRed:
         # port's verdict sequence (the named-substream contract).
         def first_port_verdicts(touch_other):
             q = red(lo=0, hi=8 * KB, p=0.5, seed=3)
-            pa, pb = _Port(), _Port()
+            pa, pb = Port(KEY), Port(("x", "y"))
             out = []
             for _ in range(20):
                 if touch_other:
-                    q.admit(("x", "y"), pb, _Msg(512), 0, 0, 10 ** 9)
-                start, _ = q.admit(KEY, pa, _Msg(512), 0, 0, 10 ** 9)
+                    q.admit(pb, _Msg(512), 0, 0, 10 ** 9)
+                start, _ = q.admit(pa, _Msg(512), 0, 0, 10 ** 9)
                 out.append(start is not None)
             return out
 
@@ -196,7 +196,7 @@ class TestProbes:
         q = drop_tail()
         seen = []
         q.probes.append(lambda now, key, depth: seen.append((now, key, depth)))
-        port = _Port()
-        q.admit(KEY, port, _Msg(100), 5, 5, 10 ** 6)
-        q.admit(KEY, port, _Msg(50), 6, 6, 10 ** 6)
+        port = Port(KEY)
+        q.admit(port, _Msg(100), 5, 5, 10 ** 6)
+        q.admit(port, _Msg(50), 6, 6, 10 ** 6)
         assert seen == [(5, KEY, 100), (6, KEY, 150)]

@@ -180,6 +180,44 @@ class TestBackgroundLoad:
         with pytest.raises(ValueError, match="rank out of range"):
             BackgroundLoad(cluster, [TrafficEvent(0, 0, 7, 64)])
 
+    def test_chain_keeps_the_driver_process_schedule(self):
+        """Under seeded tie-breaks the callback chain pops every event at
+        the key a driver process gave it; only the finished process's own
+        event, which nothing waits on, is gone."""
+        events = [TrafficEvent(0, 0, 1, 256), TrafficEvent(0, 2, 3, 64),
+                  TrafficEvent(700, 1, 2, 512), TrafficEvent(700, 3, 0, 128),
+                  TrafficEvent(1_500, 2, 0, 64)]
+
+        def driver(load):  # the generator process the chain replaced
+            sim, nodes = load.cluster.sim, load.cluster.nodes
+            for ev in load.events:
+                if ev.at_ns > sim.now:
+                    yield sim.timeout(ev.at_ns - sim.now)
+                handle = nodes[ev.src].nic.post_put(
+                    local_addr=load._send_bufs[ev.src].addr(),
+                    nbytes=ev.nbytes, target=nodes[ev.dst].name,
+                    remote_addr=load._recv_bufs[ev.dst].addr())
+                load.stats["sent"] += 1
+                handle.delivered.callbacks.append(load._done)
+
+        def run(chain):
+            cluster = self._cluster(n=4)
+            cluster.sim.seed_tiebreaks(5)
+            load = BackgroundLoad(cluster, events)
+            process = None if chain else cluster.spawn(driver(load))
+            keys = []
+            cluster.sim.add_step_probe(
+                lambda t, prio, tie, seq, ev: ev is not process
+                and keys.append((t, prio, tie, seq)))
+            if chain:
+                load.start()
+            cluster.run(until=5_000_000)
+            return keys, load.stats
+
+        keys, stats = run(chain=True)
+        assert (keys, stats) == run(chain=False)
+        assert stats["delivered"] == len(events)
+
     def test_start_is_idempotent(self):
         cluster = self._cluster()
         load = BackgroundLoad(cluster, [TrafficEvent(1_000, 0, 1, 64)])
