@@ -491,6 +491,8 @@ class JacobiExperiment(Experiment):
         if strategy not in _NODE_DRIVERS:
             raise KeyError(f"unknown strategy {strategy!r}; "
                            f"choose from {sorted(_NODE_DRIVERS)}")
+        if params["iters"] < 1:
+            raise ValueError(f"iters must be >= 1, got {params['iters']!r}")
         return Cluster(n_nodes=params["px"] * params["py"], config=config,
                        with_gpu=(strategy != "cpu"), trace=trace)
 

@@ -27,7 +27,8 @@ import numpy as np
 from repro.cluster import Cluster
 from repro.config import SystemConfig, default_config
 from repro.runtime import Execution, Experiment
-from repro.strategies import EVALUATED_STRATEGIES, FlowResult, get_flow
+from repro.strategies import (EVALUATED_STRATEGIES, ONE_SIDED_STRATEGIES,
+                              FlowResult, get_flow)
 
 __all__ = [
     "MicrobenchExperiment",
@@ -116,7 +117,7 @@ class MicrobenchExperiment(Experiment):
         if strategy == "gputn":
             kwargs["overlap_post"] = params["overlap_post"]
             kwargs["post_delay_ns"] = params["post_delay_ns"]
-        one_sided = strategy in ("gds", "gputn", "gpu-host", "gpu-native")
+        one_sided = strategy in ONE_SIDED_STRATEGIES
         remote_addr = recv_buf.addr() if one_sided else None
 
         target_proc = cluster.spawn(

@@ -10,6 +10,7 @@ point-to-point flows -- the building block of the latency microbenchmark
 
 from repro.strategies.base import (
     EVALUATED_STRATEGIES,
+    ONE_SIDED_STRATEGIES,
     STRATEGIES,
     StrategyInfo,
     strategy_info,
@@ -20,6 +21,7 @@ __all__ = [
     "EVALUATED_STRATEGIES",
     "FLOWS",
     "FlowResult",
+    "ONE_SIDED_STRATEGIES",
     "STRATEGIES",
     "StrategyInfo",
     "get_flow",

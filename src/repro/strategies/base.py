@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-__all__ = ["EVALUATED_STRATEGIES", "STRATEGIES", "StrategyInfo", "strategy_info"]
+__all__ = ["EVALUATED_STRATEGIES", "ONE_SIDED_STRATEGIES", "STRATEGIES",
+           "StrategyInfo", "strategy_info"]
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,11 @@ STRATEGIES: Dict[str, StrategyInfo] = {
 
 #: The four configurations of paper Section 5.1, in presentation order.
 EVALUATED_STRATEGIES: Tuple[str, ...] = ("cpu", "hdn", "gds", "gputn")
+
+#: Flows that put straight into the target's buffer: their initiator
+#: needs the target's remote address; the others send two-sided.
+ONE_SIDED_STRATEGIES: Tuple[str, ...] = ("gds", "gputn", "gpu-host",
+                                         "gpu-native")
 
 
 def strategy_info(key: str) -> StrategyInfo:

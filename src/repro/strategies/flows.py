@@ -32,6 +32,7 @@ from repro.gpu.kernel import KernelContext, KernelDescriptor
 from repro.memory import Buffer
 from repro.nic.transport import TransportError
 from repro.sim import AnyOf
+from repro.strategies.base import ONE_SIDED_STRATEGIES
 
 __all__ = ["FLOWS", "FlowResult", "get_flow", "message_stream"]
 
@@ -243,7 +244,7 @@ def message_stream(cluster: Cluster, target: Node, strategy: str, nbytes: int,
     """
     initiator = cluster[0]
     init_fn, target_fn = get_flow(strategy)
-    one_sided = strategy in ("gds", "gputn", "gpu-host", "gpu-native")
+    one_sided = strategy in ONE_SIDED_STRATEGIES
     send_buf = initiator.host.alloc(nbytes, name=f"{prefix}-send")
     recv_buf = target.host.alloc(nbytes, name=f"{prefix}-recv")
     remote_addr = recv_buf.addr() if one_sided else None

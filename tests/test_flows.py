@@ -75,3 +75,16 @@ class TestSendBufferReuse:
         # The target sees the original payload, not the scribble.
         assert (dst.view(np.uint8) == 1).all()
         assert cluster.total_hazards() == 0
+
+
+class TestOneSidedSet:
+    def test_every_one_sided_strategy_is_a_one_sided_flow(self):
+        from repro.strategies import FLOWS, ONE_SIDED_STRATEGIES, get_flow
+        from repro.strategies.flows import one_sided_target
+
+        for strategy in ONE_SIDED_STRATEGIES:
+            _, target = get_flow(strategy)  # raises for an unregistered flow
+            assert target is one_sided_target, strategy
+        # ... and every registered flow landing one-sided is in the set.
+        one_sided = {s for s in FLOWS if FLOWS[s][1] is one_sided_target}
+        assert one_sided <= set(ONE_SIDED_STRATEGIES)

@@ -127,3 +127,27 @@ class TestFigure9Shape:
         t4 = run_jacobi(cfg, "gputn", n=128, px=2, py=2, iters=2).per_iteration_ns
         t9 = run_jacobi(cfg, "gputn", n=128, px=3, py=3, iters=2).per_iteration_ns
         assert t9 <= t4 * 1.30  # interior nodes gain 4th neighbour, no more
+
+
+_STRATEGIES = ("cpu", "hdn", "gds", "gputn", "gputn-persistent",
+               "gputn-overlap")
+
+
+@pytest.mark.parametrize("strategy", _STRATEGIES)
+@pytest.mark.parametrize("iters", [0, -1])
+def test_iters_below_one_rejected_before_the_cluster(strategy, iters,
+                                                     monkeypatch):
+    import repro.apps.jacobi as jacobi
+
+    def no_cluster(*args, **kwargs):
+        raise AssertionError("cluster built for a rejected point")
+
+    monkeypatch.setattr(jacobi, "Cluster", no_cluster)
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        run_jacobi(strategy=strategy, n=16, iters=iters)
+
+
+def test_strategy_list_covers_every_driver():
+    from repro.apps.jacobi import _NODE_DRIVERS
+
+    assert set(_STRATEGIES) == set(_NODE_DRIVERS)
