@@ -49,7 +49,8 @@ class Topology:
         """Vertex path ``[src, switch..., dst]`` for hop-by-hop fabric
         simulation, or ``None`` for endpoint-contention-only topologies
         (the star keeps the paper's exact timing model this way).  Routes
-        must be deterministic: same pair, same path, every call."""
+        must be deterministic: same pair, same path, every call -- the
+        fabric asks once per pair and plans the pair from the answer."""
         return None
 
     def segment_latency_ns(self, u: str, v: str) -> int:
