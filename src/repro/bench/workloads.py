@@ -92,9 +92,12 @@ def ring_allreduce() -> int:
 
 
 def transport_recovery() -> int:
-    """Selective-repeat ARQ under 25% seeded loss on a congested point:
-    one loaded congestion-study case (RED+ECN queues, AIMD pacing), the
-    hot path of the retransmit/SACK/reorder machinery."""
+    """One loaded congestion-study point: GPU-TN foreground over
+    selective repeat with AIMD pacing, load 0.8, RED+ECN queues on the
+    16-node fat tree.  No fault plan is armed, so the only loss is queue
+    drops: of 2,373 data sends, 7 fast retransmits, 1 timeout and 1
+    retransmit.  It times the loaded reliable path -- send, SACK, ECN
+    window cuts (360), switch queues -- not loss recovery."""
     from repro.apps.congestion import CongestionExperiment
 
     execution = CongestionExperiment().execute(

@@ -9,7 +9,8 @@ which is exactly the failure mode a real RDMA stack gives you.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -106,6 +107,9 @@ class AddressSpace:
         self.name = name
         self._next = base
         self._buffers: Dict[int, Buffer] = {}
+        #: Bases of the live buffers, ascending (the bump allocator hands
+        #: them out in order), for :meth:`resolve`'s bisection.
+        self._bases: List[int] = []
 
     def alloc(self, nbytes: int, name: str = "") -> Buffer:
         if nbytes <= 0:
@@ -118,11 +122,13 @@ class AddressSpace:
         self._next += span
         buf = Buffer(self, base, nbytes, name=name)
         self._buffers[base] = buf
+        self._bases.append(base)
         return buf
 
     def free(self, buf: Buffer) -> None:
         if self._buffers.pop(buf.base, None) is None:
             raise ValueError(f"double free of {buf!r}")
+        del self._bases[bisect_left(self._bases, buf.base)]
         buf.registered = False
 
     # ---------------------------------------------------------- registration
@@ -139,8 +145,13 @@ class AddressSpace:
 
     # --------------------------------------------------------------- lookups
     def resolve(self, addr: int, nbytes: int = 1) -> Tuple[Buffer, int]:
-        """Map a virtual range to (buffer, offset); raises if unmapped."""
-        for buf in self._buffers.values():
+        """Map a virtual range to (buffer, offset); raises if unmapped.
+
+        Buffers do not overlap, so the only candidate is the one with the
+        highest base at or below ``addr``."""
+        i = bisect_right(self._bases, addr)
+        if i:
+            buf = self._buffers[self._bases[i - 1]]
             if buf.contains(addr, nbytes):
                 return buf, addr - buf.base
         raise IndexError(f"address {addr:#x} (+{nbytes}) unmapped in space {self.name!r}")

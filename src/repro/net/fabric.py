@@ -255,7 +255,7 @@ class Fabric:
         if traced:
             tracer.point(now, src, "fabric", "tx",
                          msg_id=msg.msg_id, dst=dst, nbytes=nbytes)
-        done = self.sim.event(name=f"deliver:{msg.msg_id}") if event else None
+        done = self.sim.event("deliver") if event else None
         self.stats["messages"] += 1
         self.stats["bytes"] += nbytes
 

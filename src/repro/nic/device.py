@@ -14,6 +14,14 @@ One :class:`Nic` per node.  It owns:
 * target-side handling: one-sided put landing, two-sided matching with an
   unexpected-message queue, get servicing, and completion-flag writes.
 
+A put's :class:`PutHandle` builds its ``local`` and ``delivered`` events
+only when someone asks for them; a completion nobody waits on pops as a
+pooled callback under the key the event would have had (DESIGN.md §10).
+Every data message goes out through :meth:`Nic._transmit`, which reports
+its first transmission and its outcome back to the NIC in one shape,
+with or without the reliable transport.  Each DMA resolves its buffer
+once.
+
 Timing knobs come from :class:`repro.config.NicConfig`; see DESIGN.md §5.
 """
 
@@ -42,20 +50,108 @@ _handle_ids = itertools.count(1)
 _TRIGGER_WINDOW_BYTES = 64
 
 
-@dataclass(slots=True)
-class PutHandle:
-    """Initiator-side handle for a put/send operation."""
+#: Completion state of a handle event (see :class:`PutHandle`).
+_PENDING, _TRIGGERED, _POPPED = 0, 1, 2
 
-    op: NetworkOp
-    #: fires when the send buffer is reusable (NIC finished reading it)
-    local: Event = None  # type: ignore[assignment]
-    #: fires when the last byte lands in target memory.  In hardware this
-    #: requires an ACK; here it is the simulator's oracle view, used for
-    #: measurement (paper Figure 8 reports target-side completion).
-    delivered: Event = None  # type: ignore[assignment]
-    handle_id: int = field(default_factory=lambda: next(_handle_ids))
-    #: optional (buffer, offset) the NIC writes 1 to at local completion
-    local_flag: Optional[Tuple[Buffer, int]] = None
+
+class PutHandle:
+    """Initiator-side handle for a put/send operation.
+
+    ``local`` fires when the send buffer is reusable (the NIC finished
+    reading it).  ``delivered`` fires when the last byte lands in target
+    memory; in hardware this requires an ACK, here it is the simulator's
+    oracle view, used for measurement (paper Figure 8 reports
+    target-side completion).
+
+    Each event is built on first access (DESIGN.md §10, "an Event exists
+    only once someone can wait on it").  When the NIC completes one that
+    nobody has touched, the handle records the outcome and pushes a
+    pooled pop under the key the event's own ``succeed``/``fail`` would
+    have taken.  An access between that completion and its pop builds a
+    triggered event whose waiters resume at the pop; an access after it
+    builds a processed one.
+    """
+
+    __slots__ = ("op", "local_flag", "handle_id", "_sim",
+                 "_local", "_local_state", "_local_ok", "_local_value",
+                 "_delivered", "_delivered_state", "_delivered_ok",
+                 "_delivered_value")
+
+    def __init__(self, sim: Simulator, op: NetworkOp,
+                 local_flag: Optional[Tuple[Buffer, int]] = None):
+        self.op = op
+        #: optional (buffer, offset) the NIC writes 1 to at local completion
+        self.local_flag = local_flag
+        self.handle_id = next(_handle_ids)
+        self._sim = sim
+        self._local: Optional[Event] = None
+        self._local_state = _PENDING
+        self._local_ok = True
+        self._local_value: Any = None
+        self._delivered: Optional[Event] = None
+        self._delivered_state = _PENDING
+        self._delivered_ok = True
+        self._delivered_value: Any = None
+
+    @property
+    def local(self) -> Event:
+        ev = self._local
+        if ev is None:
+            ev = self._local = self._build(self._local_state, self._local_ok,
+                                           self._local_value)
+        return ev
+
+    @property
+    def delivered(self) -> Event:
+        ev = self._delivered
+        if ev is None:
+            ev = self._delivered = self._build(
+                self._delivered_state, self._delivered_ok,
+                self._delivered_value)
+        return ev
+
+    def _build(self, state: int, ok: bool, value: Any) -> Event:
+        if state == _PENDING:
+            return Event(self._sim)
+        return Event.settled(self._sim, ok, value, processed=state == _POPPED)
+
+    # The NIC completes each event once, through these; the flags they
+    # set are what it checks, so completing builds no event.
+    def _complete_local(self, ok: bool, value: Any) -> None:
+        self._local_state = _TRIGGERED
+        ev = self._local
+        if ev is not None:
+            if ok:
+                ev.succeed(value)
+            else:
+                ev.fail(value)
+            return
+        self._local_ok = ok
+        self._local_value = value
+        self._sim.call_later(0, self._pop_local)
+
+    def _pop_local(self) -> None:
+        self._local_state = _POPPED
+        if self._local is not None:
+            self._local._run_callbacks()
+
+    def _complete_delivered(self, ok: bool, value: Any) -> None:
+        self._delivered_state = _TRIGGERED
+        ev = self._delivered
+        if ev is not None:
+            if ok:
+                ev.succeed(value)
+            else:
+                ev.fail(value)
+            return
+        self._delivered_ok = ok
+        self._delivered_value = value
+        self._sim.call_later(0, self._pop_delivered)
+
+    def _pop_delivered(self) -> None:
+        self._delivered_state = _POPPED
+        if self._delivered is not None:
+            self._delivered._run_callbacks()
 
 
 @dataclass(slots=True)
@@ -176,17 +272,25 @@ class Nic:
         self.transport = make_transport(self, config or ReliabilityConfig())
         return self.transport
 
-    def _transmit(self, msg: Message,
-                  on_first_tx: Optional[Callable[[], None]] = None) -> Event:
-        """Send one data message, through the reliable transport when
-        armed.  Returns the delivery event; with reliability on it can
-        *fail* with :class:`~repro.nic.transport.TransportError`."""
+    def _transmit(self, msg: Message, handle: Any = None) -> None:
+        """Send one data message for ``handle`` (a :class:`PutHandle`, a
+        get request's :class:`GetHandle`, or ``None``), through the
+        reliable transport when armed.
+
+        The message's first transmission calls :meth:`_on_sent` inline.
+        Its outcome runs :meth:`_on_outcome` in a pop of its own, under
+        the delivery event's key: the :class:`DeliveredMessage`, or with
+        reliability on a :class:`~repro.nic.transport.TransportError`.
+        """
         if self.transport is not None:
-            return self.transport.send(msg, on_first_tx=on_first_tx)
+            self.transport.send(msg, handle)
+            return
         done = self.fabric.transmit(msg)
-        if on_first_tx is not None:
-            on_first_tx()
-        return done
+        self._on_sent(handle)
+        done.callbacks.append(partial(self._on_delivery_event, handle))
+
+    def _on_delivery_event(self, handle: Any, ev: Event) -> None:
+        self._on_outcome(handle, ev.ok, ev.value)
 
     # ------------------------------------------------------------ MMIO side
     @property
@@ -304,9 +408,7 @@ class Nic:
         op = NetworkOp(kind=kind, local_addr=local_addr, nbytes=nbytes,
                        target=target, remote_addr=remote_addr, wire_tag=wire_tag,
                        meta=dict(meta or {}))
-        handle = PutHandle(op=op, local=self.sim.event(f"local:{op.op_id}"),
-                           delivered=self.sim.event(f"delivered:{op.op_id}"),
-                           local_flag=local_flag)
+        handle = PutHandle(self.sim, op, local_flag)
         if not deferred:
             self._initiate(handle, extra_delay=0)
         return handle
@@ -344,17 +446,8 @@ class Nic:
                       remote_addr=op.remote_addr,
                       meta={"op_id": op.op_id, "nbytes": op.nbytes,
                             "reply_addr": op.local_addr})
-        done = self._transmit(msg)
+        self._transmit(msg, self._pending_gets[op.op_id])
         self.stats["tx_ops"] += 1
-        done.callbacks.append(partial(self._on_get_request_outcome, op.op_id))
-
-    def _on_get_request_outcome(self, op_id: int, ev: Event) -> None:
-        # Reliable transport gave up on the request: surface the
-        # TransportError on the get handle instead of hanging.
-        if not ev.ok:
-            handle = self._pending_gets.pop(op_id, None)
-            if handle is not None and not handle.complete.triggered:
-                handle.complete.fail(ev.value)
 
     def register_triggered_get(self, tag: int, threshold: int, local_addr: int,
                                nbytes: int, target: str,
@@ -422,9 +515,7 @@ class Nic:
         op = NetworkOp(kind="put", local_addr=local_addr, nbytes=nbytes,
                        target=target, remote_addr=remote_addr, wire_tag=wire_tag,
                        meta=dict(meta or {}))
-        handle = PutHandle(op=op, local=self.sim.event(f"local:{op.op_id}"),
-                           delivered=self.sim.event(f"delivered:{op.op_id}"),
-                           local_flag=local_flag)
+        handle = PutHandle(self.sim, op, local_flag)
         self._trigger_handles[op.op_id] = handle
         return self.trigger_list.register(op, tag, threshold)
 
@@ -443,9 +534,7 @@ class Nic:
                            nbytes=spec["nbytes"], target=spec["target"],
                            remote_addr=spec["remote_addr"],
                            wire_tag=spec.get("wire_tag"))
-            handles.append(PutHandle(
-                op=op, local=self.sim.event(f"local:{op.op_id}"),
-                delivered=self.sim.event(f"delivered:{op.op_id}")))
+            handles.append(PutHandle(self.sim, op))
         master = handles[0].op
         self._trigger_handles[master.op_id] = handles
         return self.trigger_list.register(master, tag, threshold)
@@ -530,14 +619,12 @@ class Nic:
                       tag=op.wire_tag, meta=dict(op.meta))
         if self.tracer.enabled:
             self.tracer.begin(self.sim.now, self.node, "nic", "put", op=op.op_id)
-
-        done = self._transmit(
-            msg, on_first_tx=partial(self._schedule_local_complete, handle))
+        self._transmit(msg, handle)
         self.stats["tx_ops"] += 1
 
-        done.callbacks.append(partial(self._on_put_outcome, handle))
-
-    def _schedule_local_complete(self, handle: PutHandle) -> None:
+    def _on_sent(self, handle: Any) -> None:
+        if handle.__class__ is not PutHandle:
+            return
         # Local completion: send buffer is reusable once fully
         # serialized onto the wire; transmit() just reserved our
         # egress port, so its busy_until is exactly this message's
@@ -549,14 +636,24 @@ class Nic:
             max(0, local_time - self.sim.now) + self.nc.completion_write_ns,
             self._local_complete, handle)
 
-    def _on_put_outcome(self, handle: PutHandle, ev: Event) -> None:
+    def _on_outcome(self, handle: Any, ok: bool, value: Any) -> None:
+        if handle.__class__ is PutHandle:
+            self._on_put_outcome(handle, ok, value)
+        elif handle is not None and not ok:
+            # Reliable transport gave up on a get request: surface the
+            # TransportError on the get handle instead of hanging.
+            if (self._pending_gets.pop(handle.op.op_id, None) is not None
+                    and not handle.complete.triggered):
+                handle.complete.fail(value)
+
+    def _on_put_outcome(self, handle: PutHandle, ok: bool, value: Any) -> None:
         if self.tracer.enabled:
             self.tracer.end(self.sim.now, self.node, "nic", "put",
                             op=handle.op.op_id)
-        if handle.delivered.triggered:
+        if handle._delivered_state != _PENDING:
             return
-        if ev.ok:
-            handle.delivered.succeed(ev.value)
+        if ok:
+            handle._complete_delivered(True, value)
             if self.probes:
                 self._emit("delivered", handle)
         else:
@@ -564,9 +661,9 @@ class Nic:
             # the handle, never a silent hang.  A send refused outright
             # (peer already declared dead) also fails local completion
             # -- nothing was ever serialized.
-            handle.delivered.fail(ev.value)
-            if not handle.local.triggered:
-                handle.local.fail(ev.value)
+            handle._complete_delivered(False, value)
+            if handle._local_state == _PENDING:
+                handle._complete_local(False, value)
 
     def _local_complete(self, handle: PutHandle) -> None:
         if self.probes:
@@ -575,8 +672,8 @@ class Nic:
             buf, off = handle.local_flag
             buf.view(dtype="uint32", count=1, offset=off)[0] = 1
             self.mem.record_write(self.sim.now, Agent.NIC, buf)
-        if not handle.local.triggered:
-            handle.local.succeed(self.sim.now)
+        if handle._local_state == _PENDING:
+            handle._complete_local(True, self.sim.now)
 
     # -------------------------------------------------------------- receive
     def _handle_rx(self, delivered: DeliveredMessage) -> None:
@@ -651,8 +748,8 @@ class Nic:
             )
             return
         if msg.nbytes:
-            self.space.dma_write(handle.local_addr, msg.payload or b"")
-            buf, _ = self.space.resolve(handle.local_addr, msg.nbytes)
+            buf, off = self.space.resolve(handle.local_addr, msg.nbytes)
+            self.space.dma_write_at(buf, off, msg.payload or b"")
             self.mem.record_write(self.sim.now, Agent.NIC, buf)
         handle.complete.succeed(delivered)
 
@@ -664,8 +761,8 @@ class Nic:
 
     def _send_get_reply(self, msg: Message) -> None:
         nbytes = msg.meta["nbytes"]
-        payload = self.space.dma_read(msg.remote_addr, nbytes) if nbytes else b""
         buf, off = self.space.resolve(msg.remote_addr, max(nbytes, 1))
+        payload = self.space.dma_read_at(buf, off, nbytes) if nbytes else b""
         self.mem.record_read(self.sim.now, Agent.NIC, buf,
                              lo=off, hi=off + max(nbytes, 1))
         reply = Message(src=self.node, dst=msg.src, nbytes=nbytes,
@@ -680,8 +777,8 @@ class Nic:
         if handle is None:
             raise RuntimeError(f"get reply for unknown op {msg.meta['op_id']}")
         if msg.nbytes:
-            self.space.dma_write(msg.remote_addr, msg.payload or b"")
-            buf, _ = self.space.resolve(msg.remote_addr, msg.nbytes)
+            buf, off = self.space.resolve(msg.remote_addr, msg.nbytes)
+            self.space.dma_write_at(buf, off, msg.payload or b"")
             self.mem.record_write(self.sim.now, Agent.NIC, buf)
         self.sim.call_later(self.nc.completion_write_ns,
                             self._complete_get, handle, delivered)

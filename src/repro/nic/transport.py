@@ -28,18 +28,24 @@ into target memory (the simulator's oracle view), not at ACK receipt;
 ACKs exist purely to slide windows and cancel timers.  With zero faults
 armed the transport adds only its ACK traffic -- data timing is
 untouched.
+
+The NIC is the transport's only client, and the transport builds no
+event per send: each window entry carries the NIC's handle, and the
+outcome (accepted, or given up on) is handed back to the NIC in a pooled
+pop pushed where the oracle delivery event used to be triggered, so it
+pops under that event's key.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.config import ReliabilityConfig
 from repro.net.fabric import DeliveredMessage
 from repro.net.packet import Message, MessageKind
-from repro.sim import Event, Timer
+from repro.sim import Timer
 from repro.sim.rng import RandomStreams
 
 __all__ = ["ReliableTransport", "SelectiveRepeatTransport", "TransportError",
@@ -73,9 +79,12 @@ class _Entry:
 
     seq: int
     msg: Message
-    event: Event
-    on_first_tx: Optional[Callable[[], None]] = None
+    #: What the NIC sent it for; handed back at first transmission and
+    #: with the outcome.
+    handle: Any
     sent: bool = False
+    #: The outcome has been reported (accepted, or given up on).
+    settled: bool = False
     #: Selective-repeat only: SACKed out of order (held for the
     #: cumulative slide, excluded from retransmission).
     acked: bool = False
@@ -168,31 +177,35 @@ class ReliableTransport:
         self._backoff_rng = (
             RandomStreams(nic.config.seed).stream(f"transport.backoff.{nic.node}")
             if config.backoff_jitter_ns > 0 else None)
+        # The NIC is the transport's only client (see send()).
+        self._on_sent = nic._on_sent
+        self._on_outcome = nic._on_outcome
         self.fabric.register_rx_filter(self.node, self._on_rx)
         self.fabric.transports[self.node] = self
 
     # ------------------------------------------------------------- send side
-    def send(self, msg: Message,
-             on_first_tx: Optional[Callable[[], None]] = None) -> Event:
-        """Sequence and (eventually) transmit ``msg``; returns the oracle
-        delivery event.  It succeeds with the :class:`DeliveredMessage`
-        when the payload is accepted at the target, or fails with
-        :class:`TransportError` if the retry budget runs out.
+    def send(self, msg: Message, handle: Any = None) -> None:
+        """Sequence and (eventually) transmit ``msg`` for the NIC's
+        ``handle``.
 
-        ``on_first_tx`` runs synchronously at the first real fabric
-        transmission (window permitting, immediately) -- the NIC uses it
-        to anchor local-completion timing to actual wire occupancy.
+        The first real fabric transmission (window permitting,
+        immediately) calls ``nic._on_sent(handle)`` inline -- the NIC
+        anchors local-completion timing to actual wire occupancy.  The
+        outcome runs ``nic._on_outcome(handle, ok, value)`` in a pop of
+        its own, pushed where the oracle delivery event was triggered
+        and under its key: the :class:`DeliveredMessage` when the payload
+        is accepted at the target, or a :class:`TransportError` if the
+        retry budget runs out.
         """
         if msg.kind.is_control:
             raise ValueError(f"control message {msg!r} must bypass the transport")
         st = self._tx_state(msg.dst)
-        ev = self.sim.event(f"rt:{self.node}->{msg.dst}")
         if st.dead:
             self.stats["errors"] += 1
-            ev.fail(TransportError(self.node, msg.dst, st.next_seq, st.retries))
-            return ev
-        entry = _Entry(seq=st.next_seq, msg=msg, event=ev,
-                       on_first_tx=on_first_tx)
+            self._settle(handle, False, TransportError(
+                self.node, msg.dst, st.next_seq, st.retries))
+            return
+        entry = _Entry(st.next_seq, msg, handle)
         st.next_seq += 1
         msg.seq = entry.seq
         if len(st.window) < self._send_limit(st):
@@ -200,7 +213,9 @@ class ReliableTransport:
             self._tx_entry(st, entry)
         else:
             st.pending.append(entry)
-        return ev
+
+    def _settle(self, handle: Any, ok: bool, value: Any) -> None:
+        self.sim.call_later(0, self._on_outcome, handle, ok, value)
 
     def _send_limit(self, st: _TxState) -> int:
         """Admission limit on in-flight messages (overridden by pacing)."""
@@ -222,8 +237,7 @@ class ReliableTransport:
         if not entry.sent:
             entry.sent = True
             self._emit("tx", st.peer, entry.seq)
-            if entry.on_first_tx is not None:
-                entry.on_first_tx()
+            self._on_sent(entry.handle)
         if not st.timer.armed:
             self._arm_timer(st)
 
@@ -295,9 +309,10 @@ class ReliableTransport:
         self._emit("give-up", st.peer, base)
         for entry in entries:
             self.stats["errors"] += 1
-            if not entry.event.triggered:
-                entry.event.fail(TransportError(self.node, st.peer,
-                                                entry.seq, st.retries))
+            if not entry.settled:
+                entry.settled = True
+                self._settle(entry.handle, False, TransportError(
+                    self.node, st.peer, entry.seq, st.retries))
 
     # ----------------------------------------------------------- ack intake
     def _on_ack(self, peer: str, ackseq: int) -> None:
@@ -338,16 +353,18 @@ class ReliableTransport:
     def on_peer_accept(self, peer: str, seq: int,
                        delivered: DeliveredMessage) -> None:
         """Receiver-side notification that our ``seq`` to ``peer`` was
-        accepted into target memory: complete the oracle delivery event.
-        (Window slide still waits for the wire ACK.)"""
+        accepted into target memory: report the outcome to the NIC.
+        (Window slide still waits for the wire ACK.)  The window holds
+        consecutive sequence numbers, so ``seq`` indexes it."""
         st = self._tx.get(peer)
-        if st is None:
+        if st is None or not st.window:
             return
-        for entry in st.window:
-            if entry.seq == seq:
-                if not entry.event.triggered:
-                    entry.event.succeed(delivered)
-                return
+        i = seq - st.window[0].seq
+        if 0 <= i < len(st.window):
+            entry = st.window[i]
+            if not entry.settled:
+                entry.settled = True
+                self._settle(entry.handle, True, delivered)
 
     # ----------------------------------------------------------- recv side
     def _on_rx(self, delivered: DeliveredMessage) -> bool:
@@ -365,7 +382,9 @@ class ReliableTransport:
             # Unsequenced data: the peer runs without reliability; pass
             # through untouched (mixed-mode clusters).
             return True
-        rx = self._rx.setdefault(msg.src, _RxState())
+        rx = self._rx.get(msg.src)
+        if rx is None:
+            rx = self._rx[msg.src] = _RxState()
         if delivered.corrupted:
             self.stats["rx_corrupt"] += 1
             self._emit("corrupt", msg.src, msg.seq)
@@ -568,7 +587,9 @@ class SelectiveRepeatTransport(ReliableTransport):
             return False
         if msg.seq is None:
             return True
-        rx = self._rx.setdefault(msg.src, _SrRxState())
+        rx = self._rx.get(msg.src)
+        if rx is None:
+            rx = self._rx[msg.src] = _SrRxState()
         if delivered.corrupted:
             self.stats["rx_corrupt"] += 1
             self._emit("corrupt", msg.src, msg.seq)

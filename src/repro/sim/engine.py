@@ -129,6 +129,24 @@ class Event:
         #: the FIFO-tie-break invariant monitor checks pop order against.
         self._sched_seq = 0
 
+    @classmethod
+    def settled(cls, sim: "Simulator", ok: bool, value: Any,
+                processed: bool) -> "Event":
+        """An event built after its outcome is known: triggered with
+        ``value`` (an exception unless ``ok``) and never scheduled.
+
+        Its builder owns its pop.  Before that pop has happened it passes
+        ``processed=False`` and runs :meth:`_run_callbacks` at the pop,
+        so waiters resume there; afterwards ``processed=True``, and a
+        waiter resumes through a relay as on any processed event.
+        """
+        ev = cls(sim)
+        ev._triggered = True
+        ev._ok = ok
+        ev._value = value
+        ev._processed = processed
+        return ev
+
     # ------------------------------------------------------------------ state
     @property
     def triggered(self) -> bool:

@@ -78,6 +78,65 @@ class TestAddressSpace:
             space.free(buf)
 
 
+def _linear_resolve(space, addr, nbytes):
+    """The reference: test every live buffer."""
+    for buf in space.buffers():
+        if buf.contains(addr, nbytes):
+            return buf, addr - buf.base
+    return None
+
+
+class TestResolve:
+    """``resolve`` bisects the sorted buffer bases; it must agree with a
+    scan of every buffer."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_linear_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        space = AddressSpace()
+        live, freed = [], []
+        for _ in range(60):
+            if live and rng.random() < 0.35:
+                buf = live.pop(int(rng.integers(len(live))))
+                space.free(buf)
+                freed.append(buf)
+            else:
+                live.append(space.alloc(int(rng.integers(1, 3 * 4096))))
+            probes = []
+            for buf in live + freed:
+                end = buf.base + buf.nbytes
+                probes += [
+                    (buf.base, 1),                           # base
+                    (buf.base + buf.nbytes // 2, 1),         # interior
+                    (end - 1, 1),                            # last byte
+                    (end, 1),                                # one past the end
+                    (end, 0),
+                    (end + 100, 1),                          # guard page
+                    (buf.base, buf.nbytes),                  # whole buffer
+                    (buf.base, buf.nbytes + 1),              # into the guard
+                    (buf.base - 1, 2),                       # straddles the base
+                ]
+            probes += [(0, 1), (space._next, 1), (space._next + 8192, 4)]
+            for addr, nbytes in probes:
+                want = _linear_resolve(space, addr, nbytes)
+                if want is None:
+                    with pytest.raises(IndexError, match="unmapped"):
+                        space.resolve(addr, nbytes)
+                else:
+                    got = space.resolve(addr, nbytes)
+                    assert got[0] is want[0] and got[1] == want[1]
+
+    def test_freed_buffer_unmapped(self):
+        space = AddressSpace("n7")
+        a, b, c = space.alloc(64), space.alloc(64), space.alloc(64)
+        space.free(b)
+        assert space.resolve(a.addr(63))[0] is a
+        assert space.resolve(c.addr())[0] is c
+        with pytest.raises(IndexError,
+                           match=rf"address {b.base:#x} \(\+1\) unmapped in space 'n7'"):
+            space.resolve(b.addr())
+
+
 class TestDmaRegistration:
     def test_dma_requires_registration(self):
         space = AddressSpace()

@@ -5,7 +5,7 @@ import gc
 import numpy as np
 import pytest
 
-from repro.memory import Agent
+from repro.memory import Agent, RegistrationError
 from repro.nic.lookup import TriggerListFull
 
 from conftest import build_nic_testbed
@@ -190,6 +190,59 @@ class TestGet:
         tb.sim.run_until_event(h.complete)
         # Must cover two path traversals at minimum.
         assert tb.sim.now >= 2 * tb.fabric.topology.path_latency_ns("n0", "n1")
+
+
+class TestDmaErrors:
+    """Receive and get paths resolve their buffer once; an unmapped or
+    unregistered buffer still fails with the address space's message."""
+
+    def _recv(self, tb, local_addr):
+        src = tb.alloc_registered("n0", 64)
+        tb.nics["n1"].post_recv(tag=4, local_addr=local_addr, nbytes=64)
+        tb.nics["n0"].post_put(src.addr(), 64, "n1", None, wire_tag=4,
+                               kind="send")
+        tb.sim.run()
+
+    def _get(self, tb, local_addr, remote_addr):
+        tb.nics["n0"].post_get(local_addr, 64, "n1", remote_addr)
+        tb.sim.run()
+
+    def test_recv_into_unmapped(self, nic_testbed):
+        with pytest.raises(IndexError,
+                           match=r"address 0xdead0000 \(\+64\) unmapped in space 'n1'"):
+            self._recv(nic_testbed, 0xDEAD_0000)
+
+    def test_recv_into_unregistered(self, nic_testbed):
+        dst = nic_testbed.spaces["n1"].alloc(64, name="plain")
+        with pytest.raises(RegistrationError,
+                           match="DMA write to unregistered buffer 'plain'"):
+            self._recv(nic_testbed, dst.addr())
+
+    def test_get_reply_into_unmapped(self, nic_testbed):
+        remote = nic_testbed.alloc_registered("n1", 64)
+        with pytest.raises(IndexError,
+                           match=r"address 0xdead0000 \(\+64\) unmapped in space 'n0'"):
+            self._get(nic_testbed, 0xDEAD_0000, remote.addr())
+
+    def test_get_reply_into_unregistered(self, nic_testbed):
+        remote = nic_testbed.alloc_registered("n1", 64)
+        local = nic_testbed.spaces["n0"].alloc(64, name="plain")
+        with pytest.raises(RegistrationError,
+                           match="DMA write to unregistered buffer 'plain'"):
+            self._get(nic_testbed, local.addr(), remote.addr())
+
+    def test_get_from_unmapped(self, nic_testbed):
+        local = nic_testbed.alloc_registered("n0", 64)
+        with pytest.raises(IndexError,
+                           match=r"address 0xdead0000 \(\+64\) unmapped in space 'n1'"):
+            self._get(nic_testbed, local.addr(), 0xDEAD_0000)
+
+    def test_get_from_unregistered(self, nic_testbed):
+        local = nic_testbed.alloc_registered("n0", 64)
+        remote = nic_testbed.spaces["n1"].alloc(64, name="plain")
+        with pytest.raises(RegistrationError,
+                           match="DMA read from unregistered buffer 'plain'"):
+            self._get(nic_testbed, local.addr(), remote.addr())
 
 
 class TestGpuTriggeredPath:

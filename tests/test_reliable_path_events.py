@@ -11,7 +11,7 @@ import pytest
 from repro.config import NetworkConfig, ReliabilityConfig
 from repro.net import Fabric, Message, StarTopology
 from repro.net.packet import MessageKind
-from repro.sim import SimulationError, Simulator, Timer
+from repro.sim import Event, SimulationError, Simulator, Timer
 
 
 class _CallLaterTimer:
@@ -244,3 +244,93 @@ class TestReliableFlowsBuildNoDeliveryEvents:
         cluster.sim.run()
         assert handle.delivered.processed and handle.delivered.ok
         assert calls == [(MessageKind.PUT, False), (MessageKind.ACK, False)]
+
+    @staticmethod
+    def _loaded_point(monkeypatch, eager):
+        """One loaded congestion point (gputn, red-ecn, load 0.8,
+        selective repeat, 16-node fat tree).  Returns its record, the
+        events it popped, the exact-``Event`` constructions inside each
+        transport send, and the background puts' handles."""
+        import dataclasses
+
+        from repro.apps.congestion import CongestionExperiment
+        from repro.config import default_config
+        from repro.nic.device import Nic, PutHandle
+        from repro.nic.transport import ReliableTransport
+        from repro.traffic.background import BackgroundLoad
+
+        built = [0]
+        per_send = []
+        background = []
+        in_post_due = [False]
+        popped = [0]
+        real = {"init": Event.__init__, "send": ReliableTransport.send,
+                "post_put": Nic.post_put, "post_due": BackgroundLoad._post_due,
+                "handle": PutHandle.__init__, "run": Simulator.run}
+
+        def event_init(self, *args, **kwargs):
+            if self.__class__ is Event:
+                built[0] += 1
+            real["init"](self, *args, **kwargs)
+
+        def send(self, *args, **kwargs):
+            before = built[0]
+            real["send"](self, *args, **kwargs)
+            per_send.append(built[0] - before)
+
+        def post_put(self, *args, **kwargs):
+            handle = real["post_put"](self, *args, **kwargs)
+            if in_post_due[0]:
+                background.append(handle)
+            return handle
+
+        def post_due(self):
+            in_post_due[0] = True
+            try:
+                real["post_due"](self)
+            finally:
+                in_post_due[0] = False
+
+        def handle_init(self, *args, **kwargs):
+            real["handle"](self, *args, **kwargs)
+            self.local
+            self.delivered
+
+        def run(self, until=None):
+            before = self.events_processed
+            try:
+                return real["run"](self, until)
+            finally:
+                popped[0] += self.events_processed - before
+
+        monkeypatch.setattr(Event, "__init__", event_init)
+        monkeypatch.setattr(ReliableTransport, "send", send)
+        monkeypatch.setattr(Nic, "post_put", post_put)
+        monkeypatch.setattr(BackgroundLoad, "_post_due", post_due)
+        monkeypatch.setattr(Simulator, "run", run)
+        if eager:
+            monkeypatch.setattr(PutHandle, "__init__", handle_init)
+        record = CongestionExperiment().run(
+            {"strategy": "gputn", "transport": "selective-repeat",
+             "discipline": "red-ecn", "load": 0.8, "topology": "fat-tree:k=4",
+             "n_nodes": 16, "messages": 16, "bg_horizon_ns": 60_000,
+             "seed": 1},
+            dataclasses.replace(default_config(), seed=1))
+        monkeypatch.undo()
+        return record, popped[0], per_send, background
+
+    def test_loaded_point_builds_only_what_is_waited_on(self, monkeypatch):
+        record, popped, per_send, background = self._loaded_point(
+            monkeypatch, eager=False)
+        ref, ref_popped, _, _ = self._loaded_point(
+            monkeypatch, eager=True)
+        # The transport builds no event for a send.
+        assert len(per_send) > 2000 and set(per_send) == {0}
+        # No background put's local-completion event was built: nobody
+        # waits on it.  Its delivered event is, by the load's counter.
+        assert len(background) > 2000
+        assert all(h._local is None for h in background)
+        assert all(h._delivered is not None for h in background)
+        # Every former pop still pops, and the record is the eager one.
+        assert popped == ref_popped
+        assert record.to_json() == ref.to_json()
