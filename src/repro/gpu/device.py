@@ -22,7 +22,7 @@ byte-identical to the per-work-group path (DESIGN.md §5).
 from __future__ import annotations
 
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import List, Optional
 
 from repro.config import SystemConfig
 from repro.gpu.dispatcher import ConstantLaunchModel, LaunchLatencyModel
@@ -73,13 +73,7 @@ class Gpu:
         self.cus = Resource(sim, capacity=config.gpu.compute_units,
                             name=f"{node}.cus")
         self.stats = {"kernels": 0, "workgroups": 0, "doorbells": 0}
-        #: Observability probes: called with ``(kind, now, detail)`` for
-        #: kinds ``"kernel-launch"`` / ``"kernel-teardown"`` (detail
-        #: carries ``latency_ns``) and ``"wg-start"`` / ``"wg-end"``
-        #: (detail carries CU ``in_use`` / ``capacity``) -- the attachment
-        #: point for :mod:`repro.metrics` occupancy/latency collection.
-        #: Empty (zero overhead) unless something attaches.
-        self.probes: List[Callable[[str, int, Dict[str, Any]], None]] = []
+        self._gpu_probes = sim.probes.gpu
         # The front end is a callback state machine started by a boot
         # event.  Its event count and seq numbering are pinned by the
         # golden RunRecord fixtures, so rewriting it (e.g. back into a
@@ -87,10 +81,6 @@ class Gpu:
         boot = Event(sim, name=f"boot:{node}.gpu.frontend")
         boot.callbacks.append(self._fe_boot)
         boot.succeed()
-
-    def _emit(self, kind: str, **detail: Any) -> None:
-        for probe in self.probes:
-            probe(kind, self.sim.now, detail)
 
     # ------------------------------------------------------------ dispatch
     def launch(self, desc: KernelDescriptor) -> KernelInstance:
@@ -146,8 +136,10 @@ class Gpu:
         desc = cmd.desc
         self.tracer.end(self.sim.now, self.node, "gpu", "kernel-launch",
                         kernel=desc.name)
-        if self.probes:
-            self._emit("kernel-launch", kernel=desc.name, latency_ns=launch_ns)
+        if self._gpu_probes:
+            detail = {"kernel": desc.name, "latency_ns": launch_ns}
+            for probe in self._gpu_probes:
+                probe(self.node, "kernel-launch", self.sim.now, detail)
         cmd.started.succeed(self.sim.now)
 
         self.tracer.begin(self.sim.now, self.node, "gpu", "kernel-exec",
@@ -191,9 +183,10 @@ class Gpu:
         desc = cmd.desc
         self.tracer.end(self.sim.now, self.node, "gpu", "kernel-teardown",
                         kernel=desc.name)
-        if self.probes:
-            self._emit("kernel-teardown", kernel=desc.name,
-                       latency_ns=teardown_ns)
+        if self._gpu_probes:
+            detail = {"kernel": desc.name, "latency_ns": teardown_ns}
+            for probe in self._gpu_probes:
+                probe(self.node, "kernel-teardown", self.sim.now, detail)
         self.stats["kernels"] += 1
         cmd.finished.succeed(self.sim.now)
         self._fe_wait()
@@ -212,10 +205,12 @@ class Gpu:
         are exactly the ones ``wg_id`` would make on its own."""
         cus = self.cus
         yield cus.acquire(gang)
-        if self.probes:
+        if self._gpu_probes:
             for wg in range(wg_id, wg_id + gang):
-                self._emit("wg-start", kernel=desc.name, wg=wg,
-                           in_use=cus.in_use, capacity=cus.capacity)
+                detail = {"kernel": desc.name, "wg": wg, "in_use": cus.in_use,
+                          "capacity": cus.capacity}
+                for probe in self._gpu_probes:
+                    probe(self.node, "wg-start", self.sim.now, detail)
         try:
             ctx = KernelContext(self.sim, self, desc, wg_id)
             gen = desc.fn(ctx)
@@ -225,6 +220,8 @@ class Gpu:
         finally:
             for wg in range(wg_id, wg_id + gang):
                 cus.release()
-                if self.probes:
-                    self._emit("wg-end", kernel=desc.name, wg=wg,
-                               in_use=cus.in_use, capacity=cus.capacity)
+                if self._gpu_probes:
+                    detail = {"kernel": desc.name, "wg": wg,
+                              "in_use": cus.in_use, "capacity": cus.capacity}
+                    for probe in self._gpu_probes:
+                        probe(self.node, "wg-end", self.sim.now, detail)

@@ -9,14 +9,14 @@ export:
   Gauge / log2-bucketed Histogram / decimating TimeSeries primitives,
   gathered by a get-or-create :class:`MetricsRegistry`;
 * :mod:`~repro.metrics.instrument` -- :func:`attach_metrics` wires a
-  registry into a cluster through the same probe/observer hooks
-  :mod:`repro.validate` uses: GPU CU occupancy and kernel
+  registry into a cluster through the simulator's probe bus
+  (:mod:`repro.sim.probes`): GPU CU occupancy and kernel
   launch/teardown histograms, NIC doorbell-FIFO depth and trigger-list
   size, per-link bytes/occupancy, transport retransmit counters and
   per-message initiation-to-delivery latency histograms.
 
 Zero overhead when disabled: nothing in the hardware models references a
-registry; an unattached run leaves every hook list empty (DESIGN.md §9).
+registry; an unattached run leaves every probe topic empty (DESIGN.md §9).
 """
 
 from repro.metrics.instrument import attach_metrics

@@ -21,9 +21,8 @@ Four primitive kinds cover the hardware models' needs:
 
 A :class:`MetricsRegistry` is a get-or-create namespace over all four.
 Hardware models never hold one: :mod:`repro.metrics.instrument`
-subscribes registry updates through the same probe/observer hooks the
-:mod:`repro.validate` monitors use, so an unattached run executes zero
-metrics code.
+subscribes registry updates to the simulator's probe bus, so an
+unattached run executes zero metrics code.
 """
 
 from __future__ import annotations
@@ -214,7 +213,7 @@ class MetricsRegistry:
 
     Names are hierarchical by convention (``node0.nic.trigger_fifo_depth``,
     ``fabric.link.node0->node1.bytes``); :func:`repro.metrics.instrument.
-    attach_metrics` populates them from the hardware models' hook points
+    attach_metrics` populates them from the simulator's probe bus
     and :meth:`dump` renders everything as one JSON-safe document (the
     ``telemetry`` section of a :class:`~repro.runtime.record.RunRecord`).
     """

@@ -169,11 +169,7 @@ class Fabric:
         #: themselves here so a receiver can complete the sender's
         #: oracle delivery event (see :mod:`repro.nic.transport`).
         self.transports: Dict[str, object] = {}
-        #: Validation probes: called at transmit time with
-        #: ``(msg, sent_at, egress_end, delivered_at)`` -- the attachment
-        #: point for :mod:`repro.validate` fabric-ordering monitors.
-        #: Dropped transmissions are not probed (they never deliver).
-        self.probes: List[Callable[[Message, int, int, int], None]] = []
+        self._transmit_probes = sim.probes.transmit
         self.stats = {"messages": 0, "bytes": 0}
 
     # ------------------------------------------------------------- handlers
@@ -208,7 +204,7 @@ class Fabric:
 
         if self.queues is not None:
             raise RuntimeError("fabric already has switch queues")
-        self.queues = SwitchQueues(config, streams)
+        self.queues = SwitchQueues(config, streams, probes=self.sim.probes)
         return self.queues
 
     # --------------------------------------------------------------- sending
@@ -309,8 +305,8 @@ class Fabric:
                          msg_id=msg.msg_id, dst=dst)
 
         self.sim.call_later(delivery_time - now, self._deliver, delivered, done)
-        if self.probes:
-            for probe in self.probes:
+        if self._transmit_probes:
+            for probe in self._transmit_probes:
                 probe(msg, now, egress_end, delivery_time)
         return done
 

@@ -47,9 +47,10 @@ fabric's per-pair plan already holds, with no lookup by
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.config import QueueConfig
+from repro.sim.probes import Probes
 from repro.sim.rng import RandomStreams
 
 __all__ = ["SwitchQueues"]
@@ -65,7 +66,7 @@ class SwitchQueues:
     """
 
     def __init__(self, config: QueueConfig,
-                 streams: Optional[RandomStreams] = None):
+                 streams: Optional[RandomStreams] = None, *, probes: Probes):
         if config.discipline == "red" and streams is None:
             raise ValueError(
                 "RED needs a RandomStreams for its seeded marking draws")
@@ -76,10 +77,7 @@ class SwitchQueues:
         #: ``fabric.stats`` (pinned to {messages, bytes}).
         self.stats = {"enqueued": 0, "dropped": 0, "ecn_marked": 0,
                       "max_depth_bytes": 0}
-        #: Telemetry probes called ``(now_ns, port_key, depth_bytes)``
-        #: after every admission -- the :mod:`repro.metrics` attachment
-        #: point for queue-depth time series.
-        self.probes: List[Callable[[int, tuple, int], None]] = []
+        self._admit_probes = probes.admit
 
     # ------------------------------------------------------------- verdicts
     def red_probability(self, occupancy: int) -> float:
@@ -136,8 +134,8 @@ class SwitchQueues:
             stats["ecn_marked"] += 1
         if depth > stats["max_depth_bytes"]:
             stats["max_depth_bytes"] = depth
-        if self.probes:
-            for probe in self.probes:
+        if self._admit_probes:
+            for probe in self._admit_probes:
                 probe(now, port.key, depth)
         return start, mark
 

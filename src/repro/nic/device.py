@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from collections import deque
 
@@ -191,7 +191,8 @@ class Nic:
         # Trigger machinery.
         lookup = make_lookup(self.nc.trigger_lookup, capacity=self.nc.max_trigger_entries)
         self.trigger_list = TriggerList(lookup, on_fire=self._on_trigger_fire,
-                                        on_free=self._on_trigger_free)
+                                        on_free=self._on_trigger_free,
+                                        node=node, probes=sim.probes)
         # Handles of registered triggered operations by op id: a
         # PutHandle, a GetHandle, or a fan-out's list of PutHandles.
         # Dropped when the entry is freed.  Kept here rather than in the
@@ -237,24 +238,10 @@ class Nic:
         #: seed's lossless fire-and-forget behavior.  Armed via
         #: :meth:`enable_reliability` before any traffic flows.
         self.transport = None
-        # Validation/metrics probes: called with (kind, handle, now) for
-        # kinds "send-dma-read" (payload captured off the send buffer),
-        # "local-complete" (buffer-reusable flag raised), "initiate"
-        # (put/send starts NIC processing) and "delivered" (payload
-        # accepted at the target) -- the attachment point for
-        # repro.validate completion-safety monitors and repro.metrics
-        # message-latency histograms.
-        self.probes: List[Callable[[str, PutHandle, int], None]] = []
-        # Queue-depth probes: called with (kind, now, depth) for kinds
-        # "fifo-push" / "fifo-pop" on the trigger-address FIFO -- the
-        # attachment point for repro.metrics doorbell-FIFO depth series.
-        self.queue_probes: List[Callable[[str, int, int], None]] = []
+        self._put_probes = sim.probes.put
+        self._fifo_probes = sim.probes.fifo
         self.stats = {"tx_ops": 0, "rx_puts": 0, "rx_sends": 0, "rx_gets": 0,
                       "rx_corrupt": 0, "doorbells": 0, "trigger_writes": 0}
-
-    def _emit(self, kind: str, handle: "PutHandle") -> None:
-        for probe in self.probes:
-            probe(kind, handle, self.sim.now)
 
     # ------------------------------------------------------- reliable transport
     def enable_reliability(self, config: Optional[ReliabilityConfig] = None):
@@ -262,15 +249,13 @@ class Nic:
         selective-repeat via ``ReliabilityConfig(mode=...)``).
 
         Must run before any traffic flows (sequence numbers start at the
-        first send).  Returns the :class:`~repro.nic.transport.
-        ReliableTransport` engine so callers can attach probes.
+        first send).
         """
         if self.transport is not None:
             raise RuntimeError(f"reliability already enabled on {self.node}")
         from repro.nic.transport import make_transport
 
         self.transport = make_transport(self, config or ReliabilityConfig())
-        return self.transport
 
     def _transmit(self, msg: Message, handle: Any = None) -> None:
         """Send one data message for ``handle`` (a :class:`PutHandle`, a
@@ -350,10 +335,9 @@ class Nic:
                 f"trigger FIFO overflow on node {self.node} "
                 f"(depth {self.nc.trigger_fifo_depth})"
             )
-        if self.queue_probes:
-            depth = len(self._trigger_fifo)
-            for probe in self.queue_probes:
-                probe("fifo-push", self.sim.now, depth)
+        if self._fifo_probes:
+            for probe in self._fifo_probes:
+                probe(self.node, "fifo-push", self.sim.now, len(self._trigger_fifo))
 
     # The trigger processor: pop, match, count, maybe fire.  Spelled as a
     # callback loop (_pump_boot -> _pump_wait -> _pump_item -> timeout ->
@@ -368,10 +352,9 @@ class Nic:
 
     def _pump_item(self, ev: Event) -> None:
         tag, overrides = ev.value
-        if self.queue_probes:
-            depth = len(self._trigger_fifo)
-            for probe in self.queue_probes:
-                probe("fifo-pop", self.sim.now, depth)
+        if self._fifo_probes:
+            for probe in self._fifo_probes:
+                probe(self.node, "fifo-pop", self.sim.now, len(self._trigger_fifo))
         self._active_overrides = overrides
         try:
             self.trigger_list.trigger(tag)
@@ -595,8 +578,9 @@ class Nic:
         delay = extra_delay
         if not staged:
             delay += self.nc.command_process_ns + self.nc.dma_setup_ns
-        if self.probes:
-            self._emit("initiate", handle)
+        if self._put_probes:
+            for probe in self._put_probes:
+                probe(self.node, "initiate", handle, self.sim.now)
         self.sim.call_later(delay, self._launch, handle)
 
     def _launch(self, handle: PutHandle) -> None:
@@ -611,8 +595,9 @@ class Nic:
             payload = self.space.dma_read_at(buf, off, op.nbytes)
         else:
             payload = b""
-        if self.probes:
-            self._emit("send-dma-read", handle)
+        if self._put_probes:
+            for probe in self._put_probes:
+                probe(self.node, "send-dma-read", handle, self.sim.now)
         kind = MessageKind.SEND if op.kind == "send" else MessageKind.PUT
         msg = Message(src=self.node, dst=op.target, nbytes=op.nbytes, kind=kind,
                       payload=payload, remote_addr=op.remote_addr,
@@ -654,8 +639,9 @@ class Nic:
             return
         if ok:
             handle._complete_delivered(True, value)
-            if self.probes:
-                self._emit("delivered", handle)
+            if self._put_probes:
+                for probe in self._put_probes:
+                    probe(self.node, "delivered", handle, self.sim.now)
         else:
             # Transport retry budget exhausted: structured failure on
             # the handle, never a silent hang.  A send refused outright
@@ -666,8 +652,9 @@ class Nic:
                 handle._complete_local(False, value)
 
     def _local_complete(self, handle: PutHandle) -> None:
-        if self.probes:
-            self._emit("local-complete", handle)
+        if self._put_probes:
+            for probe in self._put_probes:
+                probe(self.node, "local-complete", handle, self.sim.now)
         if handle.local_flag is not None:
             buf, off = handle.local_flag
             buf.view(dtype="uint32", count=1, offset=off)[0] = 1

@@ -158,11 +158,7 @@ class ReliableTransport:
         self._rx: Dict[str, _RxState] = {}
         #: Uncontended RTT per (peer, window-head bytes); see _rtt_floor_ns.
         self._rtt_floors: Dict[tuple, int] = {}
-        #: Validation probes: ``(kind, peer, seq, now)`` with kinds
-        #: ``tx`` / ``accept`` / ``dup`` / ``gap`` / ``corrupt`` /
-        #: ``retransmit`` / ``give-up`` -- the attachment point for
-        #: :class:`repro.validate.monitors.ReliableDeliveryMonitor`.
-        self.probes: List[Callable[[str, str, int, int], None]] = []
+        self._transport_probes = nic.sim.probes.transport
         self.stats = {
             "tx_data": 0, "retransmits": 0, "timeouts": 0,
             "acks_tx": 0, "acks_rx": 0, "nacks_tx": 0, "nacks_rx": 0,
@@ -236,7 +232,9 @@ class ReliableTransport:
         self.stats["tx_data"] += 1
         if not entry.sent:
             entry.sent = True
-            self._emit("tx", st.peer, entry.seq)
+            if self._transport_probes:
+                for probe in self._transport_probes:
+                    probe(self.node, "tx", st.peer, entry.seq, self.sim.now)
             self._on_sent(entry.handle)
         if not st.timer.armed:
             self._arm_timer(st)
@@ -290,7 +288,9 @@ class ReliableTransport:
         self.nic.tracer.point(self.sim.now, self.node, "nic", "retransmit",
                               peer=st.peer, base_seq=base, cause=cause,
                               round=st.retries, in_flight=len(st.window))
-        self._emit("retransmit", st.peer, base)
+        if self._transport_probes:
+            for probe in self._transport_probes:
+                probe(self.node, "retransmit", st.peer, base, self.sim.now)
         self.stats["retransmits"] += len(st.window)
         for entry in st.window:
             self.fabric.transmit(entry.msg, event=False)
@@ -306,7 +306,9 @@ class ReliableTransport:
         base = entries[0].seq if entries else st.next_seq
         self.nic.tracer.point(self.sim.now, self.node, "nic", "transport-dead",
                               peer=st.peer, base_seq=base, attempts=st.retries)
-        self._emit("give-up", st.peer, base)
+        if self._transport_probes:
+            for probe in self._transport_probes:
+                probe(self.node, "give-up", st.peer, base, self.sim.now)
         for entry in entries:
             self.stats["errors"] += 1
             if not entry.settled:
@@ -387,12 +389,16 @@ class ReliableTransport:
             rx = self._rx[msg.src] = _RxState()
         if delivered.corrupted:
             self.stats["rx_corrupt"] += 1
-            self._emit("corrupt", msg.src, msg.seq)
+            if self._transport_probes:
+                for probe in self._transport_probes:
+                    probe(self.node, "corrupt", msg.src, msg.seq, self.sim.now)
             self._maybe_nack(msg.src, rx)
             return False
         if msg.seq == rx.expected:
             rx.expected += 1
-            self._emit("accept", msg.src, msg.seq)
+            if self._transport_probes:
+                for probe in self._transport_probes:
+                    probe(self.node, "accept", msg.src, msg.seq, self.sim.now)
             self._send_ack(msg.src, msg.seq)
             sender = self.fabric.transports.get(msg.src)
             if sender is not None:
@@ -402,13 +408,17 @@ class ReliableTransport:
             # Retransmitted duplicate: drop before any handler can see it
             # (exactly-once), and re-ACK so the sender resynchronizes.
             self.stats["rx_dups"] += 1
-            self._emit("dup", msg.src, msg.seq)
+            if self._transport_probes:
+                for probe in self._transport_probes:
+                    probe(self.node, "dup", msg.src, msg.seq, self.sim.now)
             self._send_ack(msg.src, rx.expected - 1)
             return False
         # Gap: something before this was lost; go-back-N discards the
         # out-of-order arrival entirely.
         self.stats["rx_gaps"] += 1
-        self._emit("gap", msg.src, msg.seq)
+        if self._transport_probes:
+            for probe in self._transport_probes:
+                probe(self.node, "gap", msg.src, msg.seq, self.sim.now)
         self._maybe_nack(msg.src, rx)
         return False
 
@@ -430,10 +440,6 @@ class ReliableTransport:
             kind=MessageKind.NACK, seq=rx.expected), event=False)
 
     # ------------------------------------------------------------- helpers
-    def _emit(self, kind: str, peer: str, seq: int) -> None:
-        for probe in self.probes:
-            probe(kind, peer, seq, self.sim.now)
-
     def flows(self) -> Dict[str, Dict[str, int]]:
         """Introspection for monitors/tests: per-peer sender state."""
         return {
@@ -517,7 +523,9 @@ class SelectiveRepeatTransport(ReliableTransport):
         self.nic.tracer.point(self.sim.now, self.node, "nic", "retransmit",
                               peer=st.peer, base_seq=base, cause="timeout",
                               round=st.retries, in_flight=len(targets))
-        self._emit("retransmit", st.peer, base)
+        if self._transport_probes:
+            for probe in self._transport_probes:
+                probe(self.node, "retransmit", st.peer, base, self.sim.now)
         self.stats["retransmits"] += len(targets)
         for entry in targets:
             self.fabric.transmit(entry.msg, event=False)
@@ -556,7 +564,9 @@ class SelectiveRepeatTransport(ReliableTransport):
             if st.last_fast_retx != head.seq:
                 st.last_fast_retx = head.seq
                 self.stats["fast_retransmits"] += 1
-                self._emit("retransmit", peer, head.seq)
+                if self._transport_probes:
+                    for probe in self._transport_probes:
+                        probe(self.node, "retransmit", peer, head.seq, self.sim.now)
                 self.nic.tracer.point(self.sim.now, self.node, "nic",
                                       "fast-retransmit", peer=peer,
                                       seq=head.seq)
@@ -592,21 +602,27 @@ class SelectiveRepeatTransport(ReliableTransport):
             rx = self._rx[msg.src] = _SrRxState()
         if delivered.corrupted:
             self.stats["rx_corrupt"] += 1
-            self._emit("corrupt", msg.src, msg.seq)
+            if self._transport_probes:
+                for probe in self._transport_probes:
+                    probe(self.node, "corrupt", msg.src, msg.seq, self.sim.now)
             self._sr_ack(msg.src, rx, ecn=False)
             return False
         if msg.seq < rx.expected or msg.seq in rx.buffer:
             # Retransmitted duplicate: drop before any handler sees it
             # (exactly-once), re-SACK so the sender resynchronizes.
             self.stats["rx_dups"] += 1
-            self._emit("dup", msg.src, msg.seq)
+            if self._transport_probes:
+                for probe in self._transport_probes:
+                    probe(self.node, "dup", msg.src, msg.seq, self.sim.now)
             self._sr_ack(msg.src, rx, ecn=delivered.ecn)
             return False
         if msg.seq == rx.expected:
             if not rx.buffer:
                 # Common in-order case: identical flow to go-back-N.
                 rx.expected += 1
-                self._emit("accept", msg.src, msg.seq)
+                if self._transport_probes:
+                    for probe in self._transport_probes:
+                        probe(self.node, "accept", msg.src, msg.seq, self.sim.now)
                 self._sr_ack(msg.src, rx, ecn=delivered.ecn)
                 sender = self.fabric.transports.get(msg.src)
                 if sender is not None:
@@ -628,7 +644,9 @@ class SelectiveRepeatTransport(ReliableTransport):
             handlers = self._rx_handler_list()
             sender = self.fabric.transports.get(msg.src)
             for d in chain:
-                self._emit("accept", msg.src, d.message.seq)
+                if self._transport_probes:
+                    for probe in self._transport_probes:
+                        probe(self.node, "accept", msg.src, d.message.seq, self.sim.now)
                 for handler in handlers:
                     handler(d)
                 if sender is not None:
@@ -638,7 +656,9 @@ class SelectiveRepeatTransport(ReliableTransport):
         # Out of order above a gap: hold it (selective repeat's whole
         # point) and SACK so the sender repairs just the hole.
         self.stats["rx_buffered"] += 1
-        self._emit("buffer", msg.src, msg.seq)
+        if self._transport_probes:
+            for probe in self._transport_probes:
+                probe(self.node, "buffer", msg.src, msg.seq, self.sim.now)
         rx.buffer[msg.seq] = delivered
         self._sr_ack(msg.src, rx, ecn=delivered.ecn)
         return False

@@ -26,6 +26,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.sim.probes import Probes
+
 __all__ = ["NetworkOp", "TriggerEntry", "TriggerList"]
 
 _op_ids = itertools.count(1)
@@ -86,10 +88,14 @@ class TriggerList:
     """The NIC's list of registered/placeholder trigger entries."""
 
     def __init__(self, lookup, on_fire: Callable[[TriggerEntry], None],
-                 on_free: Optional[Callable[[TriggerEntry], None]] = None):
+                 on_free: Optional[Callable[[TriggerEntry], None]] = None, *,
+                 node: str, probes: Probes):
         """``lookup`` is a :mod:`repro.nic.lookup` structure; ``on_fire``
         is invoked exactly once per entry when it becomes ready, and
-        ``on_free`` (if given) when :meth:`free` removes it."""
+        ``on_free`` (if given) when :meth:`free` removes it.  The list
+        emits on ``probes.trigger`` as ``node``."""
+        self.node = node
+        self._trigger_probes = probes.trigger
         self.lookup = lookup
         self.on_fire = on_fire
         self.on_free = on_free
@@ -99,17 +105,8 @@ class TriggerList:
         #: entries still awaiting their free.
         self.fired_log: List[TriggerEntry] = []
         self._freed_in_log = 0
-        #: Validation/metrics observers: called with ``(kind, entry)`` for
-        #: kinds ``"register"``, ``"trigger"``, ``"fire"`` and ``"free"``
-        #: -- the attachment point for :mod:`repro.validate` exactly-once
-        #: monitors and the :mod:`repro.metrics` instrumentation.
-        self.observers: List[Callable[[str, "TriggerEntry"], None]] = []
         self.stats = {"registered": 0, "triggers": 0, "placeholders": 0,
                       "fired": 0, "freed": 0}
-
-    def _notify(self, kind: str, entry: "TriggerEntry") -> None:
-        for observer in self.observers:
-            observer(kind, entry)
 
     def __len__(self) -> int:
         return len(self.lookup)
@@ -136,7 +133,9 @@ class TriggerList:
             entry = TriggerEntry(tag=tag, op=op, threshold=threshold)
             self.lookup.insert(entry)
         self.stats["registered"] += 1
-        self._notify("register", entry)
+        if self._trigger_probes:
+            for probe in self._trigger_probes:
+                probe(self.node, "register", entry)
         if entry.ready:
             self._fire(entry)
         return entry
@@ -155,7 +154,9 @@ class TriggerList:
             self.stats["placeholders"] += 1
         entry.counter += 1
         self.stats["triggers"] += 1
-        self._notify("trigger", entry)
+        if self._trigger_probes:
+            for probe in self._trigger_probes:
+                probe(self.node, "trigger", entry)
         if entry.ready:
             self._fire(entry)
         return entry
@@ -166,7 +167,9 @@ class TriggerList:
         entry.fired = True
         self.fired_log.append(entry)
         self.stats["fired"] += 1
-        self._notify("fire", entry)
+        if self._trigger_probes:
+            for probe in self._trigger_probes:
+                probe(self.node, "fire", entry)
         self.on_fire(entry)
 
     def free(self, entry: TriggerEntry) -> None:
@@ -192,7 +195,9 @@ class TriggerList:
             self._freed_in_log = 0
         if self.on_free is not None:
             self.on_free(entry)
-        self._notify("free", entry)
+        if self._trigger_probes:
+            for probe in self._trigger_probes:
+                probe(self.node, "free", entry)
 
     # --------------------------------------------------------------- query
     def entry(self, tag: int) -> Optional[TriggerEntry]:

@@ -10,8 +10,7 @@ them into one declarative, immutable bundle with a single arming order:
    before any traffic flows (sequence numbers start at the first send);
 2. **faults** -- the fabric interposer, installed before monitors so the
    monitors see faulted traffic;
-3. **metrics** -- :func:`repro.metrics.attach_metrics`, after reliability
-   so transport counters get instrumented;
+3. **metrics** -- :func:`repro.metrics.attach_metrics`;
 4. **instruments** -- arbitrary ``callable(cluster)`` hooks (invariant
    monitors, schedule fuzzing), last, so they observe the fully armed
    cluster.

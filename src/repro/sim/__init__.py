@@ -13,6 +13,8 @@ Public surface:
   callback that keeps one heap entry.
 * :class:`~repro.sim.process.Process` -- a generator-based coroutine that
   yields waitables.
+* :class:`~repro.sim.probes.Probes` -- the probe bus every simulator
+  owns (``sim.probes``): one subscriber list per emitted topic.
 * :mod:`~repro.sim.resources` -- FIFO stores, semaphore-style resources and
   counters used to model queues, cores and doorbell FIFOs.
 * :mod:`~repro.sim.trace` -- structured timeline recording used by the
@@ -32,6 +34,7 @@ from repro.sim.engine import (
     Timer,
     WatchedEvent,
 )
+from repro.sim.probes import Probes
 from repro.sim.process import Process, ProcessKilled
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.rng import RandomStreams
@@ -43,6 +46,7 @@ __all__ = [
     "Container",
     "Event",
     "Interrupt",
+    "Probes",
     "Process",
     "ProcessKilled",
     "RandomStreams",

@@ -14,7 +14,7 @@ same-tick user logic.  ``tiebreak`` is 0 in normal operation; the
 :mod:`repro.validate` schedule fuzzer seeds it (:meth:`Simulator.
 seed_tiebreaks`) to explore alternative legal orderings of same-time,
 same-priority events, and invariant monitors observe every pop through
-:meth:`Simulator.add_step_probe`.
+the ``step`` topic of the simulator's probe bus (:mod:`repro.sim.probes`).
 
 Hot-path notes (DESIGN.md "Performance model of the simulator itself"):
 the engine is the multiplier under every exhibit, fuzz campaign and fault
@@ -47,6 +47,8 @@ import random
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Any, Callable, Iterable, Optional, Tuple
+
+from repro.sim.probes import Probes
 
 __all__ = [
     "AllOf",
@@ -479,7 +481,7 @@ class _Spin(Event):
                 f"cycle starts with {watch.cycle[0]}")
         # Seeded schedules and step probes observe every tick; a zero
         # delay would put a tick in the instant of the one before.
-        if (sim._tiebreak_rng is None and not sim._step_probes
+        if (sim._tiebreak_rng is None and not sim.probes.step
                 and min(watch.cycle) > 0 and watch.subscribe(self._wake)):
             self._arm = sim._arm_spin(self._arm, watch)
         else:
@@ -763,7 +765,8 @@ class Simulator:
         self._seq: int = 0
         self._running = False
         self._tiebreak_rng: Optional[random.Random] = None
-        self._step_probes: list[Callable[[int, int, int, int, Event], None]] = []
+        #: The probe bus every component emits onto (:mod:`repro.sim.probes`).
+        self.probes = Probes()
         #: Recycled :class:`_CallbackEvent` freelist (see :meth:`call_later`).
         self._pool: list[_CallbackEvent] = []
         #: Events popped and fired so far -- the numerator of the
@@ -1006,14 +1009,6 @@ class Simulator:
         del self._log[:cut]
 
     # ------------------------------------------------------- validation hooks
-    def add_step_probe(self, probe: Callable[[int, int, int, int, Event], None]) -> None:
-        """Register an observer called on every :meth:`step` with the popped
-        heap key ``(time, priority, tiebreak, sequence)`` and the event,
-        *before* the event's callbacks run.  Probes are the attachment
-        point for :mod:`repro.validate` runtime monitors; they must be
-        O(1) and may raise to abort the run (fail-fast validation)."""
-        self._step_probes.append(probe)
-
     @property
     def tiebreaks_seeded(self) -> bool:
         """True once :meth:`seed_tiebreaks` has armed schedule fuzzing.
@@ -1057,8 +1052,8 @@ class Simulator:
         self.events_processed += 1
         if self._classes:
             self._log_pop(t, prio, seq)
-        if self._step_probes:
-            for probe in self._step_probes:
+        if self.probes.step:
+            for probe in self.probes.step:
                 probe(t, prio, tie, seq, event)
         event._run_callbacks()
 
@@ -1086,12 +1081,12 @@ class Simulator:
         heap = self._heap
         pop = _heappop
         pool = self._pool
-        # Bind the probe *list* (not a snapshot): add_step_probe appends in
-        # place, so probes attached mid-run are still honored while the
+        # Bind the step topic's list (not a snapshot): it is never rebound,
+        # so probes attached mid-run are still honored while the
         # no-probe case costs one truthiness test per event.  The sleeper
         # set is bound the same way: while a watched spin sleeps, each pop
         # is logged.
-        probes = self._step_probes
+        probes = self.probes.step
         sleeping = self._classes
         log = self._log
         log_pop = log.append

@@ -249,13 +249,14 @@ def message_stream(cluster: Cluster, target: Node, strategy: str, nbytes: int,
     recv_buf = target.host.alloc(nbytes, name=f"{prefix}-recv")
     remote_addr = recv_buf.addr() if one_sided else None
     # The initiators only wait on *local* completion, which succeeds long
-    # before a retry budget can die: watch the transport's give-up probe
-    # so a dead flow ends the stream instead of parking it on a starved
-    # receiver.
+    # before a retry budget can die: watch for the initiator's transport
+    # giving up so a dead flow ends the stream instead of parking it on
+    # a starved receiver.
     give_up_ev = cluster.sim.event(f"{prefix}-give-up")
-    initiator.nic.transport.probes.append(
-        lambda kind, peer, seq, now: kind == "give-up"
-        and not give_up_ev.triggered and give_up_ev.succeed(now))
+    cluster.sim.probes.transport.append(
+        lambda node, kind, peer, seq, now: kind == "give-up"
+        and node == initiator.name and not give_up_ev.triggered
+        and give_up_ev.succeed(now))
     start = cluster.sim.now
     for i in range(messages):
         wire_tag = wire_tag_base + i

@@ -138,7 +138,7 @@ def _live_staging_probe(peak):
     def instrument(cluster):
         def probe(*_):
             peak[0] = max([peak[0]] + [len(_staging(node)) for node in cluster])
-        cluster.sim.add_step_probe(probe)
+        cluster.sim.probes.step.append(probe)
     return instrument
 
 

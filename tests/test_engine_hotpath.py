@@ -89,7 +89,7 @@ class TestRunDeterminism:
     def _seeded_workload(sim, seed):
         rng = random.Random(seed)
         sig = []
-        sim.add_step_probe(
+        sim.probes.step.append(
             lambda t, prio, tie, seq, ev: sig.append((t, prio, tie, seq)))
 
         def chain(depth):
@@ -137,7 +137,7 @@ class TestRunDeterminism:
         late = []
 
         def attach():
-            sim.add_step_probe(
+            sim.probes.step.append(
                 lambda t, prio, tie, seq, ev: late.append(t))
 
         sim.call_later(1, attach)
@@ -237,7 +237,7 @@ class _Run:
         if seed is not None:
             self.sim.seed_tiebreaks(seed)
         self.pops = []
-        self.sim.add_step_probe(
+        self.sim.probes.step.append(
             lambda t, prio, tie, seq, ev: self.pops.append((t, prio, tie, seq)))
         self.reads = 0
         for node in self.cluster:
@@ -387,7 +387,7 @@ class TestSpin:
     def test_probe_returns_next_delay(self):
         sim = Simulator()
         pops, probes = [], []
-        sim.add_step_probe(lambda t, prio, tie, seq, ev: pops.append((t, prio)))
+        sim.probes.step.append(lambda t, prio, tie, seq, ev: pops.append((t, prio)))
         delays = iter([7, 3, None])
         done = sim.spin(lambda: probes.append(sim.now) or next(delays))
         resumed = []

@@ -58,7 +58,7 @@ def _pop_logger(log):
         def probe(t, prio, tie, seq, event):
             if not _is_workgroup_pop(event):
                 log.append((t, prio, _label(event)))
-        cluster.sim.add_step_probe(probe)
+        cluster.sim.probes.step.append(probe)
     return instrument
 
 
@@ -162,7 +162,7 @@ def _launch(monkeypatch, n_workgroups, *, gang=True, seed=None):
         cluster.sim.seed_tiebreaks(seed)
     gpu = cluster[0].gpu
     log = []
-    gpu.probes.append(lambda kind, now, d: log.append(
+    cluster.sim.probes.gpu.append(lambda node, kind, now, d: log.append(
         (kind, d.get("wg"), d.get("in_use"))))
     inst = gpu.launch(KernelDescriptor(fn=_uniform_kernel,
                                        n_workgroups=n_workgroups,
@@ -233,8 +233,8 @@ def _edge_run(monkeypatch, *, gang, end_at=None, steps=4):
     gpu, host = node.gpu, node.host
     pops, samples, ends = [], [], []
     _pop_logger(pops)(cluster)
-    gpu.probes.append(lambda kind, now, d: kind == "wg-end"
-                      and ends.append(now))
+    sim.probes.gpu.append(lambda node, kind, now, d: kind == "wg-end"
+                          and ends.append(now))
     flag, data = host.alloc(4, name="flag"), host.alloc(16, name="data")
 
     def sample(label):

@@ -103,7 +103,7 @@ def _run(monkeypatch, mode, timing, tiebreak_seed, eager):
     if tiebreak_seed is not None:
         sim.seed_tiebreaks(tiebreak_seed)
     pops = []
-    sim.add_step_probe(lambda t, p, tie, seq, ev: pops.append((t, p, tie, seq)))
+    sim.probes.step.append(lambda t, p, tie, seq, ev: pops.append((t, p, tie, seq)))
     for nic in tb.nics.values():
         nic.enable_reliability(ReliabilityConfig(
             mode=mode, window=3, max_retries=2, retransmit_timeout_ns=3_000))

@@ -264,7 +264,9 @@ class TestRearmTriggeredPuts:
         trigger_list = node.nic.trigger_list
         log, live, live_at_build = [], set(), []
 
-        def observe(kind, entry):
+        def observe(at, kind, entry):
+            if at != node.name:
+                return
             if kind == "register":
                 live.add(entry.tag)
             elif kind == "free":
@@ -272,7 +274,7 @@ class TestRearmTriggeredPuts:
             if kind in ("register", "free"):
                 log.append((kind, entry.tag, len(live)))
 
-        trigger_list.observers.append(observe)
+        cluster.sim.probes.trigger.append(observe)
         tags = [0x100 + i for i in range(n_batches * per_batch)]
 
         def batches():
@@ -328,13 +330,10 @@ def _peak_trigger_entries(execute):
     peak = [0]
 
     def arm(cluster):
-        for node in cluster:
-            trigger_list = node.nic.trigger_list
+        def observe(node, kind, entry):
+            peak[0] = max(peak[0], len(cluster.node(node).nic.trigger_list))
 
-            def observe(kind, entry, trigger_list=trigger_list):
-                peak[0] = max(peak[0], len(trigger_list))
-
-            trigger_list.observers.append(observe)
+        cluster.sim.probes.trigger.append(observe)
 
     execute(arm)
     return peak[0]

@@ -25,6 +25,7 @@ from repro.metrics import (
 )
 from repro.runtime import chrome_trace
 from repro.runtime.record import RunRecord
+from repro.sim import Probes
 
 
 # ---------------------------------------------------------------- primitives
@@ -219,11 +220,8 @@ class TestAttachMetrics:
         execution = _microbench()
         cluster = execution.cluster
         assert cluster.metrics is None
-        assert cluster.fabric.probes == []
-        for node in cluster:
-            assert node.nic.queue_probes == []
-            assert node.nic.trigger_list.observers == []
-            assert node.gpu.probes == []
+        probes = cluster.sim.probes
+        assert all(getattr(probes, topic) == [] for topic in Probes.__slots__)
 
     def test_double_attach_rejected(self):
         reg = MetricsRegistry()

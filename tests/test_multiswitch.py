@@ -184,10 +184,9 @@ class TestMultiHopTransport:
         for nic in tb.nics.values():
             nic.enable_reliability(ReliabilityConfig(window=4))
         accepts = {"node4": [], "node6": []}
-        for dst in accepts:
-            tb.nics[dst].transport.probes.append(
-                lambda kind, peer, seq, now, d=dst: kind == "accept"
-                and accepts[d].append(seq))
+        tb.sim.probes.transport.append(
+            lambda node, kind, peer, seq, now: kind == "accept"
+            and node in accepts and accepts[node].append(seq))
         handles = []
         for src, dst in (("node0", "node4"), ("node1", "node6")):
             buf = tb.alloc_registered(src, 4096, f"{src}.src")

@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from repro.nic import LinkedListLookup, NetworkOp, TriggerList
 from repro.nic.triggered import TriggerEntry
+from repro.sim import Probes
 
 
-def make_list(fired):
-    return TriggerList(LinkedListLookup(), on_fire=fired.append)
+def make_list(fired, probes=None):
+    return TriggerList(LinkedListLookup(), on_fire=fired.append, node="n0",
+                       probes=probes or Probes())
 
 
 def op(n=64):
@@ -281,13 +283,15 @@ class TestFreeLifecycle:
 
     def test_free_notifies_observers(self):
         seen = []
-        tl = make_list([])
-        tl.observers.append(lambda kind, entry: seen.append((kind, entry.tag)))
+        probes = Probes()
+        tl = make_list([], probes)
+        probes.trigger.append(
+            lambda node, kind, entry: seen.append((node, kind, entry.tag)))
         entry = tl.register(op(), tag=3, threshold=1)
         tl.trigger(3)
         tl.free(entry)
-        assert seen == [("register", 3), ("trigger", 3), ("fire", 3),
-                        ("free", 3)]
+        assert seen == [("n0", "register", 3), ("n0", "trigger", 3),
+                        ("n0", "fire", 3), ("n0", "free", 3)]
 
 
 @settings(max_examples=100, deadline=None)

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.config import KB, QueueConfig
 from repro.net.fabric import Port
 from repro.net.queues import SwitchQueues
+from repro.sim import Probes
 from repro.sim.rng import RandomStreams
 
 
@@ -31,15 +32,16 @@ class _Msg:
     nbytes: int
 
 
-def drop_tail(capacity=8 * KB):
+def drop_tail(capacity=8 * KB, probes=None):
     return SwitchQueues(QueueConfig(discipline="drop-tail",
-                                    capacity_bytes=capacity))
+                                    capacity_bytes=capacity),
+                        probes=probes or Probes())
 
 
 def red(ecn=False, capacity=8 * KB, lo=2 * KB, hi=6 * KB, p=1.0, seed=0):
     cfg = QueueConfig(discipline="red", ecn=ecn, capacity_bytes=capacity,
                       red_min_bytes=lo, red_max_bytes=hi, red_max_prob=p)
-    return SwitchQueues(cfg, streams=RandomStreams(seed))
+    return SwitchQueues(cfg, streams=RandomStreams(seed), probes=Probes())
 
 
 KEY = ("sw0", "sw1")
@@ -86,7 +88,7 @@ def test_property_red_probability_monotone(occupancies, lo, span, max_prob):
     cfg = QueueConfig(discipline="red", capacity_bytes=16 * KB,
                       red_min_bytes=lo, red_max_bytes=lo + span,
                       red_max_prob=max_prob)
-    q = SwitchQueues(cfg, streams=RandomStreams(0))
+    q = SwitchQueues(cfg, streams=RandomStreams(0), probes=Probes())
     probs = [q.red_probability(o) for o in sorted(occupancies)]
     assert probs == sorted(probs)  # monotone in occupancy
     for o, p in zip(sorted(occupancies), probs):
@@ -128,7 +130,7 @@ class TestDropTail:
 class TestRed:
     def test_requires_streams(self):
         with pytest.raises(ValueError, match="RandomStreams"):
-            SwitchQueues(QueueConfig(discipline="red"))
+            SwitchQueues(QueueConfig(discipline="red"), probes=Probes())
 
     def test_below_min_never_draws(self):
         q = red(lo=2 * KB)
@@ -193,9 +195,10 @@ class TestRed:
 
 class TestProbes:
     def test_probe_reports_depth_after_admission(self):
-        q = drop_tail()
+        probes = Probes()
+        q = drop_tail(probes=probes)
         seen = []
-        q.probes.append(lambda now, key, depth: seen.append((now, key, depth)))
+        probes.admit.append(lambda now, key, depth: seen.append((now, key, depth)))
         port = Port(KEY)
         q.admit(port, _Msg(100), 5, 5, 10 ** 6)
         q.admit(port, _Msg(50), 6, 6, 10 ** 6)

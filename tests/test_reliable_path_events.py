@@ -59,7 +59,7 @@ def _flow(timer_cls, seed, tiebreak_seed=None):
         sim.seed_tiebreaks(tiebreak_seed)
     rng = random.Random(seed)
     pops = []
-    sim.add_step_probe(lambda t, p, tie, seq, ev: pops.append((t, p, tie, seq)))
+    sim.probes.step.append(lambda t, p, tie, seq, ev: pops.append((t, p, tie, seq)))
     log = []
     state = {"retries": 0}
 

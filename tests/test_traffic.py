@@ -206,7 +206,7 @@ class TestBackgroundLoad:
             load = BackgroundLoad(cluster, events)
             process = None if chain else cluster.spawn(driver(load))
             keys = []
-            cluster.sim.add_step_probe(
+            cluster.sim.probes.step.append(
                 lambda t, prio, tie, seq, ev: ev is not process
                 and keys.append((t, prio, tie, seq)))
             if chain:

@@ -89,9 +89,9 @@ class TestLossRecovery:
                                           retransmit_timeout_ns=5_000),
             faults=FaultConfig(drop_prob=0.25), rng=5)
         accepts = []
-        tb.nics["n1"].transport.probes.append(
-            lambda kind, peer, seq, now: kind == "accept"
-            and accepts.append(seq))
+        tb.sim.probes.transport.append(
+            lambda node, kind, peer, seq, now: node == "n1"
+            and kind == "accept" and accepts.append(seq))
         nbytes = 128
         src = tb.alloc_registered("n0", nbytes, "src")
         handles = []
@@ -127,9 +127,9 @@ class TestLossRecovery:
                                           max_retries=10))
         tb.fabric.install_interposer(_DropAcks(3))
         accepts = []
-        tb.nics["n1"].transport.probes.append(
-            lambda kind, peer, seq, now: kind == "accept"
-            and accepts.append(seq))
+        tb.sim.probes.transport.append(
+            lambda node, kind, peer, seq, now: node == "n1"
+            and kind == "accept" and accepts.append(seq))
         _, bufs = stream_puts(tb, 6)
         tb.sim.run()
         stats = tb.nics["n1"].transport.stats

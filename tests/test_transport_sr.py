@@ -60,8 +60,9 @@ def stream_puts(tb, count, nbytes=256, src="n0", dst="n1", pipelined=False):
 
 def watch_accepts(tb, dst="n1"):
     accepts = []
-    tb.nics[dst].transport.probes.append(
-        lambda kind, peer, seq, now: kind == "accept" and accepts.append(seq))
+    tb.sim.probes.transport.append(
+        lambda node, kind, peer, seq, now: node == dst and kind == "accept"
+        and accepts.append(seq))
     return accepts
 
 
