@@ -85,6 +85,8 @@ class Cluster:
             for name in names
         ]
         self._by_name: Dict[str, Node] = {n.name: n for n in self.nodes}
+        #: Each node's NIC by name, the shape the NIC testbed harness has.
+        self.nics: Dict[str, Nic] = {n.name: n.nic for n in self.nodes}
         #: Set by :func:`repro.metrics.attach_metrics`; ``None`` means no
         #: observability is armed.  Apps may publish app-level measurements
         #: (e.g. per-message latencies) into it when not ``None``.
